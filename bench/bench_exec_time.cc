@@ -2,8 +2,8 @@
 // batch mode (DBpedia-NYTimes) and in the interactive specific-domain
 // setting (DBpedia NBA - NYTimes), including the per-partition search-space
 // build times whose slowest member bounds the preprocessing step. A third
-// section times federated query execution (legacy string path vs compiled
-// plans + probe caching) on a small workload, with the cache hit rate and
+// section times federated query execution (compiled plans + probe caching,
+// cold then warm) on a small workload, with the cache hit rate and
 // plan-compile time reported here and in the telemetry sidecar fields.
 
 #include <algorithm>
@@ -65,8 +65,8 @@ int main() {
       "reproduction runs scaled-down data on this machine; the *ratio* "
       "batch >> interactive is the reproduced result.\n");
 
-  // Federated query execution: legacy string path vs compiled plans with
-  // probe-caching endpoints, on a small workload over the batch-mode data.
+  // Federated query execution: compiled plans with probe-caching endpoints,
+  // on a small workload over the batch-mode data.
   {
     Stopwatch fed_watch;
     const datagen::GeneratedPair& pair = batch_sim.data();
@@ -76,14 +76,6 @@ int main() {
         simulation::LinksFromPairs(pair, pair.truth.AsVector());
     fed::Endpoint left(&pair.left);
     fed::Endpoint right(&pair.right);
-
-    fed::FederatedEngine legacy(&left, &right, &links);
-    legacy.set_execution_mode(
-        fed::FederatedEngine::ExecutionMode::kLegacyStrings);
-    Stopwatch legacy_watch;
-    const simulation::WorkloadRunStats legacy_stats =
-        simulation::ExecuteFederatedWorkload(legacy, workload);
-    const double legacy_seconds = legacy_watch.ElapsedSeconds();
 
     const obs::MetricsSnapshot before =
         obs::MetricsRegistry::Global().Snapshot();
@@ -118,23 +110,16 @@ int main() {
 
     std::printf("\nfederated query execution (%zu queries, truth links)\n",
                 workload.queries.size());
-    std::printf("%-34s %14.4f\n", "legacy path seconds", legacy_seconds);
     std::printf("%-34s %14.4f\n", "compiled+cached seconds (best)",
                 fast_seconds);
-    std::printf("%-34s %14.2f\n", "speedup",
-                fast_seconds > 0 ? legacy_seconds / fast_seconds : 0.0);
     std::printf("%-34s %14.4f\n", "probe cache hit rate", hit_rate);
     std::printf("%-34s %14.8f\n", "plan compile seconds (mean)",
                 compile_mean);
-    std::printf("%-34s %14zu / %zu\n", "rows (fast / legacy)",
-                fast_stats.rows, legacy_stats.rows);
+    std::printf("%-34s %14zu\n", "rows", fast_stats.rows);
     telemetry.AddField("fed_probe_cache_hit_rate", hit_rate);
     telemetry.AddField("fed_plan_compile_seconds_mean", compile_mean);
     telemetry.AddField("fed_plan_cache_hits",
                        counter("fed.plan_cache_hits"));
-    telemetry.AddField(
-        "fed_speedup",
-        fast_seconds > 0 ? legacy_seconds / fast_seconds : 0.0);
     telemetry.AddPhase("federated_queries", fed_watch.ElapsedSeconds());
   }
   return 0;

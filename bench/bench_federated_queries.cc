@@ -7,17 +7,17 @@
 // answered fraction (user-visible link recall), wrong answers (precision),
 // mean latency.
 //
-// Performance (always): the same workload on the truth links under three
+// Performance (always): the same workload on the truth links under two
 // execution configurations —
-//   legacy        - string-path execution, re-parsed and re-planned per call;
 //   fast          - compiled plans (memoized per query text) + probe-caching
 //                   endpoints + dictionary-encoded enumeration;
 //   fast_parallel - fast, fanned across a thread pool with deterministic
 //                   merge.
-// Before timing, every query is executed under both paths and the full
-// results (rows, provenance, degradation detail) are digest-compared; any
-// mismatch fails the bench (exit 1), as does an all-zero-rows workload, so
-// CI smoke runs catch both correctness and wiring regressions.
+// Before timing, every query is executed on plain endpoints and then twice
+// through probe caches (cold, then warm), and the full results (rows,
+// provenance, degradation detail) are digest-compared; any mismatch fails
+// the bench (exit 1), as does an all-zero-rows workload, so CI smoke runs
+// catch both correctness and wiring regressions.
 //
 // Output: one JSON object on stdout. Cache hit rates and plan-compile times
 // are included both in the JSON and in the telemetry sidecar fields.
@@ -90,7 +90,7 @@ ArmStats RunQualityArm(const datagen::GeneratedPair& pair,
   return stats;
 }
 
-/// Full observable result of one query, for cross-path equivalence.
+/// Full observable result of one query, for cache-state equivalence.
 std::string Digest(const Result<fed::FederatedResult>& r) {
   if (!r.ok()) {
     return "error:" + std::to_string(static_cast<int>(r.status().code()));
@@ -171,15 +171,14 @@ int main(int argc, char** argv) {
     telemetry.AddPhase("quality_arms", arms_watch.ElapsedSeconds());
   }
 
-  // --- Equivalence: legacy vs fast must be bit-identical per query. ---
+  // --- Equivalence: uncached vs cached (cold and warm) must be
+  // bit-identical per query. ---
   Stopwatch equivalence_watch;
   fed::Endpoint left(&pair.left);
   fed::Endpoint right(&pair.right);
   size_t mismatches = 0;
   {
-    fed::FederatedEngine legacy(&left, &right, &truth_index);
-    legacy.set_execution_mode(
-        fed::FederatedEngine::ExecutionMode::kLegacyStrings);
+    fed::FederatedEngine uncached(&left, &right, &truth_index);
     fed::CachingEndpoint cached_left(
         &left, fed::ProbeCacheConfig(),
         [&truth_index] { return truth_index.epoch(); });
@@ -188,38 +187,18 @@ int main(int argc, char** argv) {
         [&truth_index] { return truth_index.epoch(); });
     fed::FederatedEngine fast(&cached_left, &cached_right, &truth_index);
     for (const std::string& query : workload.queries) {
-      if (Digest(legacy.ExecuteText(query)) !=
-          Digest(fast.ExecuteText(query))) {
-        ++mismatches;
-      }
+      const std::string reference = Digest(uncached.ExecuteText(query));
+      if (reference != Digest(fast.ExecuteText(query))) ++mismatches;
       // Warm pass over the now-populated caches must agree too.
-      if (Digest(legacy.ExecuteText(query)) !=
-          Digest(fast.ExecuteText(query))) {
-        ++mismatches;
-      }
+      if (reference != Digest(fast.ExecuteText(query))) ++mismatches;
     }
   }
   telemetry.AddPhase("equivalence", equivalence_watch.ElapsedSeconds());
 
-  // --- Performance: legacy vs fast vs fast_parallel on the truth links. ---
+  // --- Performance: fast vs fast_parallel on the truth links. ---
   const obs::MetricsSnapshot perf_before =
       obs::MetricsRegistry::Global().Snapshot();
   Stopwatch perf_watch;
-
-  double legacy_seconds = 1e300;
-  size_t legacy_rows = 0;
-  {
-    fed::FederatedEngine engine(&left, &right, &truth_index);
-    engine.set_execution_mode(
-        fed::FederatedEngine::ExecutionMode::kLegacyStrings);
-    for (size_t rep = 0; rep < reps; ++rep) {
-      Stopwatch watch;
-      const simulation::WorkloadRunStats stats =
-          simulation::ExecuteFederatedWorkload(engine, workload);
-      legacy_seconds = std::min(legacy_seconds, watch.ElapsedSeconds());
-      legacy_rows = stats.rows;
-    }
-  }
 
   // The fast stack persists across reps: the first rep pays the cold cache,
   // later reps measure the steady state a long-lived federation sees.
@@ -325,20 +304,12 @@ int main(int argc, char** argv) {
     compile_count = hist->second.count;
     compile_mean = hist->second.Mean();
   }
-  const double speedup_fast =
-      fast_seconds > 0 ? legacy_seconds / fast_seconds : 0.0;
-  const double speedup_parallel =
-      parallel_seconds > 0 ? legacy_seconds / parallel_seconds : 0.0;
-  const bool rows_agree =
-      legacy_rows == fast_rows && fast_rows == parallel_rows;
-  const bool equivalent = mismatches == 0 && rows_agree;
+  const bool equivalent = mismatches == 0 && fast_rows == parallel_rows;
   const bool nonempty = fast_rows > 0;
 
   telemetry.AddField("probe_cache_hit_rate", hit_rate);
   telemetry.AddField("plan_cache_hits", counter("fed.plan_cache_hits"));
   telemetry.AddField("plan_compile_seconds_mean", compile_mean);
-  telemetry.AddField("speedup_fast", speedup_fast);
-  telemetry.AddField("speedup_parallel", speedup_parallel);
   if (trace) {
     telemetry.AddField("trace_events", trace_events);
     telemetry.AddField("trace_runtime_overhead_pct", trace_overhead_pct);
@@ -366,11 +337,8 @@ int main(int argc, char** argv) {
   }
   std::printf("%s],\n", arms.empty() ? "" : "\n  ");
   std::printf("  \"perf\": {\n");
-  std::printf("    \"legacy_seconds\": %.6f,\n", legacy_seconds);
   std::printf("    \"fast_seconds\": %.6f,\n", fast_seconds);
   std::printf("    \"fast_parallel_seconds\": %.6f,\n", parallel_seconds);
-  std::printf("    \"speedup_fast\": %.2f,\n", speedup_fast);
-  std::printf("    \"speedup_parallel\": %.2f,\n", speedup_parallel);
   std::printf("    \"rows\": %zu,\n", fast_rows);
   std::printf("    \"probe_cache_hit_rate\": %.4f,\n", hit_rate);
   std::printf("    \"probe_cache_hits\": %llu,\n",
@@ -404,9 +372,8 @@ int main(int argc, char** argv) {
   if (!equivalent || !nonempty) {
     std::fprintf(stderr,
                  "FAIL: equivalent=%d rows=%zu (mismatches=%zu, "
-                 "legacy_rows=%zu, parallel_rows=%zu)\n",
-                 equivalent ? 1 : 0, fast_rows, mismatches, legacy_rows,
-                 parallel_rows);
+                 "parallel_rows=%zu)\n",
+                 equivalent ? 1 : 0, fast_rows, mismatches, parallel_rows);
     return 1;
   }
   return 0;

@@ -162,11 +162,9 @@ uint64_t ConfigFingerprint(const AlexConfig& config) {
   HashU64(config.num_partitions, &h);
   HashU64(config.max_block_pairs, &h);
   HashU64(config.seed, &h);
-  // num_threads, max_episodes, relaxed_fraction and shared_blocking_index
-  // are deliberately excluded: thread count and the build strategy do not
-  // change engine behaviour (the shared and legacy builds are equivalence-
-  // tested), and resuming with a larger episode budget is the whole point
-  // of --resume.
+  // num_threads, max_episodes and relaxed_fraction are deliberately
+  // excluded: thread count does not change engine behaviour, and resuming
+  // with a larger episode budget is the whole point of --resume.
   //
   // The policy tag (and its tunables) is hashed only when non-default:
   // every checkpoint written before policies became pluggable implicitly

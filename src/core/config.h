@@ -104,23 +104,9 @@ struct AlexConfig {
   /// both settings.
   bool pin_threads = false;
 
-  /// Allocate link-space build temporaries (block count maps, evaluated
-  /// pair sets, the similarity memo table) from a per-partition bump arena
-  /// instead of the global allocator. Output is bit-identical either way;
-  /// false is kept selectable as the benchmark baseline.
-  bool arena_build_alloc = true;
-
   /// Blocking guard when constructing the link space: a blocking key whose
   /// candidate cross-product exceeds this is treated as a stop value.
   size_t max_block_pairs = 20000;
-
-  /// When true (default), partition link spaces are built against one
-  /// shared read-only BlockingIndex plus term-key/value caches constructed
-  /// once per dataset pair, so blocking work does not grow with the
-  /// partition count. When false, every partition re-inverts the right
-  /// dataset itself (the pre-optimization behaviour) — kept selectable for
-  /// the equivalence tests and the build-phase benchmark baseline.
-  bool shared_blocking_index = true;
 
   /// Triple storage backend for the scenario's datasets.
   ///  - kUncompressed: TripleStore's three sorted Triple vectors (fastest

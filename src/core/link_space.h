@@ -75,14 +75,6 @@ class LinkSpace {
              const std::vector<rdf::EntityId>& left_entities, double theta,
              size_t max_block_pairs);
 
-  /// The pre-BlockingIndex implementation (string blocking keys, right
-  /// dataset re-inverted per call, values re-parsed per candidate pair).
-  /// Retained as the reference for the equivalence tests and as the
-  /// baseline the build-phase benchmarks measure speedups against.
-  void BuildLegacy(const rdf::Dataset& left, const rdf::Dataset& right,
-                   const std::vector<rdf::EntityId>& left_entities,
-                   double theta, size_t max_block_pairs);
-
   bool Contains(PairKey pair) const { return index_.count(pair) > 0; }
 
   /// Feature set of a pair, or nullptr if the pair is not in the space.

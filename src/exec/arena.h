@@ -81,8 +81,8 @@ class ArenaAllocator {
 /// can hold build-phase scratch in the arena. A default-constructed (or
 /// null-arena) ArenaStl falls back to the global allocator — containers
 /// are declared with one allocator type and the arena-vs-heap choice stays
-/// a runtime decision, keeping the arena and legacy code paths literally
-/// the same code.
+/// a runtime decision, so arena-backed and heap-backed callers run
+/// literally the same code.
 ///
 /// Allocators compare equal iff they use the same arena (or are both
 /// heap-backed); deallocate() is a no-op for arena-backed instances.

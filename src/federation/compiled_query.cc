@@ -45,9 +45,8 @@ Result<CompiledQuery> CompiledQuery::Compile(const SelectQuery& query) {
     plan.projection_slots_.push_back(it == slot_of.end() ? -1 : it->second);
   }
 
-  // Greedy boundness ordering — the exact algorithm the legacy string path
-  // runs per execution, hoisted to compile time (it depends only on which
-  // components are constants, never on runtime values).
+  // Greedy boundness ordering, done at compile time: it depends only on
+  // which components are constants, never on runtime values.
   std::vector<size_t> remaining;
   for (size_t i = 0; i < plan.query_.where.size(); ++i) remaining.push_back(i);
   std::unordered_set<std::string> bound;
@@ -100,8 +99,8 @@ Result<CompiledQuery> CompiledQuery::Compile(const SelectQuery& query) {
   }
 
   // Per-slot filter lists, preserving query order within each slot.
-  // Filters on variables not mentioned anywhere are dropped — the legacy
-  // scan never finds them bound, so they never fire there either.
+  // Filters on variables not mentioned anywhere are dropped: such a
+  // variable never binds, so its filters never fire.
   plan.filters_by_slot_.resize(plan.slot_names_.size());
   for (const sparql::FilterAst& f : plan.query_.filters) {
     auto it = slot_of.find(f.var.name);

@@ -21,8 +21,7 @@ namespace alex::fed {
 /// Compilation does everything that depends only on the query text, so the
 /// per-execution hot path never touches strings:
 ///  - validation (no OPTIONAL/UNION; projected variables mentioned),
-///  - greedy boundness ordering of the triple patterns (identical to the
-///    order the legacy string path computes per execution),
+///  - greedy boundness ordering of the triple patterns,
 ///  - variable -> dense slot resolution: every variable becomes an index
 ///    into a flat slot array, so execution frames are `const Term*[slots]`
 ///    instead of string-keyed maps,
@@ -52,11 +51,10 @@ class CompiledQuery {
     size_t where_index = 0;
   };
 
-  /// Compiles a parsed query. Returns the same InvalidArgument statuses the
-  /// legacy execution path produces for unsupported/ill-formed queries
-  /// (OPTIONAL/UNION, unknown projected variable). An ORDER BY variable
-  /// missing from the result is *not* a compile error — the legacy path
-  /// reports it only after enumeration, and execution mirrors that.
+  /// Compiles a parsed query. Returns InvalidArgument for unsupported or
+  /// ill-formed queries (OPTIONAL/UNION, unknown projected variable). An
+  /// ORDER BY variable missing from the result is *not* a compile error:
+  /// execution reports it after enumeration.
   static Result<CompiledQuery> Compile(const sparql::SelectQuery& query);
 
   /// Parses and compiles.
@@ -82,14 +80,13 @@ class CompiledQuery {
   }
 
   /// Filters guarding one slot (possibly empty). Checked when the slot
-  /// binds, in query order — the same order and semantics as the legacy
-  /// scan over all filters.
+  /// binds, in query order.
   const std::vector<sparql::FilterAst>& filters_for_slot(size_t slot) const {
     return filters_by_slot_[slot];
   }
 
   /// Slot of each result column, or -1 for a column that can never bind
-  /// (keeps the legacy empty-literal padding behavior).
+  /// (such a column is padded with an empty literal).
   const std::vector<int32_t>& projection_slots() const {
     return projection_slots_;
   }
@@ -99,7 +96,7 @@ class CompiledQuery {
 
   bool has_order_by() const { return query_.order_by.has_value(); }
   /// False when ORDER BY names a variable outside the result; execution
-  /// then fails after enumeration, exactly like the legacy path.
+  /// then fails after enumeration.
   bool order_by_valid() const { return order_col_ >= 0; }
   size_t order_col() const { return static_cast<size_t>(order_col_); }
   bool order_descending() const {

@@ -3,368 +3,29 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-
-#include <functional>
-#include <optional>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/query_stats.h"
 #include "obs/trace.h"
 #include "rdf/dictionary.h"
-#include "sparql/parser.h"
 
 namespace alex::fed {
 namespace {
 
 using rdf::Term;
 using sparql::CompareTerms;
-using sparql::IsVariable;
 using sparql::SelectQuery;
-using sparql::TermOrVar;
 using sparql::TriplePatternAst;
 
-/// A candidate substitution for one pattern component: the concrete term to
-/// probe with, plus the sameAs link crossed to obtain it (if any).
-struct Substitution {
-  Term term;
-  std::optional<SameAsLink> link;
-};
-
-struct Frame {
-  std::unordered_map<std::string, Term> binding;
-  std::vector<SameAsLink> links_used;
-};
-
-class Execution {
- public:
-  Execution(const QueryEndpoint* left, const QueryEndpoint* right,
-            const LinkIndex* links, const SelectQuery& query,
-            const Clock* clock, double deadline_seconds)
-      : left_(left), right_(right), links_(links), query_(query),
-        clock_(clock) {
-    if (clock_ != nullptr && deadline_seconds < kNoTimeout) {
-      opts_.deadline_seconds = clock_->NowSeconds() + deadline_seconds;
-    }
-  }
-
-  Result<FederatedResult> Run();
-
- private:
-  /// sameAs-expanded substitutions for a bound term when probing `target`.
-  std::vector<Substitution> ExpandForEndpoint(
-      const Term& term, const QueryEndpoint* target) const;
-
-  bool FiltersPass(const Frame& frame, const std::string& var) const;
-
-  /// Matches patterns[pi..]; returns false to stop (LIMIT reached, or the
-  /// query deadline expired).
-  bool MatchFrom(size_t pi, Frame* frame);
-
-  /// Matches one pattern against one endpoint; returns false to stop.
-  bool MatchAtEndpoint(size_t pi, const QueryEndpoint* target, Frame* frame);
-
-  bool EmitSolution(const Frame& frame);
-
-  /// Degrades the query: records the probe failure against `target` and,
-  /// when the query deadline is exhausted, requests a stop.
-  void RecordProbeFailure(const QueryEndpoint* target, const Status& status);
-
-  /// True once the per-query deadline has passed.
-  bool DeadlineExpired() const {
-    return clock_ != nullptr &&
-           clock_->NowSeconds() >= opts_.deadline_seconds;
-  }
-
-  const QueryEndpoint* left_;
-  const QueryEndpoint* right_;
-  const LinkIndex* links_;
-  const SelectQuery& query_;
-  const Clock* clock_;
-  CallOptions opts_;
-
-  std::vector<const TriplePatternAst*> ordered_;
-  FederatedResult result_;
-  std::unordered_set<std::string> distinct_seen_;
-  bool stop_ = false;  // Deadline expired; abandon enumeration.
-};
-
-std::vector<Substitution> Execution::ExpandForEndpoint(
-    const Term& term, const QueryEndpoint* target) const {
-  std::vector<Substitution> subs;
-  subs.push_back(Substitution{term, std::nullopt});
-  if (!term.is_iri()) return subs;
-  if (target == right_) {
-    for (const std::string& rhs : links_->RightsFor(term.value)) {
-      subs.push_back(
-          Substitution{Term::Iri(rhs), SameAsLink{term.value, rhs}});
-    }
-  } else {
-    for (const std::string& lhs : links_->LeftsFor(term.value)) {
-      subs.push_back(
-          Substitution{Term::Iri(lhs), SameAsLink{lhs, term.value}});
-    }
-  }
-  return subs;
-}
-
-bool Execution::FiltersPass(const Frame& frame, const std::string& var) const {
-  for (const auto& f : query_.filters) {
-    if (f.var.name != var) continue;
-    auto it = frame.binding.find(var);
-    if (it == frame.binding.end()) continue;
-    if (!CompareTerms(it->second, f.op, f.value)) return false;
-  }
-  return true;
-}
-
-bool Execution::EmitSolution(const Frame& frame) {
-  ProvenancedRow row;
-  row.links_used = frame.links_used;
-  for (const std::string& v : result_.variables) {
-    auto it = frame.binding.find(v);
-    row.values.push_back(it == frame.binding.end() ? Term::Literal("")
-                                                   : it->second);
-  }
-  if (query_.distinct) {
-    std::string key;
-    for (const Term& t : row.values) {
-      key += t.ToNTriples();
-      key += '\x1e';
-    }
-    if (!distinct_seen_.insert(key).second) return true;
-  }
-  result_.rows.push_back(std::move(row));
-  // With ORDER BY the limit applies after sorting; keep enumerating.
-  return !(query_.limit.has_value() && !query_.order_by &&
-           result_.rows.size() >= *query_.limit);
-}
-
-void Execution::RecordProbeFailure(const QueryEndpoint* target,
-                                   const Status& status) {
-  result_.degraded = true;
-  const std::string& name = target->name();
-  for (EndpointError& err : result_.errors) {
-    if (err.endpoint == name) {
-      ++err.failed_probes;
-      if (DeadlineExpired()) stop_ = true;
-      return;
-    }
-  }
-  EndpointError err;
-  err.endpoint = name;
-  err.code = status.code();
-  err.message = status.message();
-  err.failed_probes = 1;
-  result_.errors.push_back(std::move(err));
-  if (DeadlineExpired()) stop_ = true;
-}
-
-bool Execution::MatchAtEndpoint(size_t pi, const QueryEndpoint* target,
-                                Frame* frame) {
-  const TriplePatternAst& tp = *ordered_[pi];
-
-  const TermOrVar* comps[3] = {&tp.subject, &tp.predicate, &tp.object};
-
-  // Per component: either a list of substitutions (constant/bound var) or
-  // the variable name to bind.
-  std::vector<Substitution> subs[3];
-  std::optional<std::string> to_bind[3];
-  for (int i = 0; i < 3; ++i) {
-    if (IsVariable(*comps[i])) {
-      const std::string& name = std::get<sparql::Variable>(*comps[i]).name;
-      auto it = frame->binding.find(name);
-      if (it == frame->binding.end()) {
-        to_bind[i] = name;
-        continue;
-      }
-      // Predicates are never sameAs-expanded.
-      subs[i] = (i == 1) ? std::vector<Substitution>{{it->second, {}}}
-                         : ExpandForEndpoint(it->second, target);
-    } else {
-      const Term& constant = std::get<Term>(*comps[i]);
-      subs[i] = (i == 1) ? std::vector<Substitution>{{constant, {}}}
-                         : ExpandForEndpoint(constant, target);
-    }
-  }
-
-  // Iterate the cartesian product of substitutions (singletons when no
-  // expansion applies).
-  const size_t ns = to_bind[0] ? 1 : subs[0].size();
-  const size_t np = to_bind[1] ? 1 : subs[1].size();
-  const size_t no = to_bind[2] ? 1 : subs[2].size();
-  for (size_t a = 0; a < ns; ++a) {
-    for (size_t b = 0; b < np; ++b) {
-      for (size_t c = 0; c < no; ++c) {
-        PatternProbe probe;
-        const Term** slots[3] = {&probe.subject, &probe.predicate,
-                                 &probe.object};
-        const size_t idx[3] = {a, b, c};
-        size_t links_added = 0;
-        for (int i = 0; i < 3; ++i) {
-          if (to_bind[i]) continue;
-          const Substitution& sub = subs[i][idx[i]];
-          *slots[i] = &sub.term;
-          if (sub.link.has_value()) {
-            frame->links_used.push_back(*sub.link);
-            ++links_added;
-          }
-        }
-        bool keep_going = true;
-        // The probe span covers the whole decorator stack (cache -> retry
-        // -> breaker -> endpoint) *and* the recursive join continuation
-        // that runs inside the row callback; deeper pattern_probe spans
-        // nest under it in the trace, mirroring the enumeration tree.
-        ALEX_TRACE_SPAN_VAR(probe_span, "federation", "pattern_probe");
-        probe_span.AddArg("pattern", pi);
-        probe_span.AddArg("endpoint", std::string_view(target->name()));
-        if (obs::ActiveQueryStats* stats = obs::CurrentQueryStats()) {
-          ++stats->probes;
-        }
-        const Status st = target->Probe(
-            probe, opts_,
-            [&](const Term* s, const Term* p, const Term* o) {
-              const Term* values[3] = {s, p, o};
-              std::vector<std::string> bound_here;
-              bool consistent = true;
-              for (int i = 0; i < 3 && consistent; ++i) {
-                if (!to_bind[i]) continue;
-                const Term& value = *values[i];
-                auto it = frame->binding.find(*to_bind[i]);
-                if (it != frame->binding.end()) {
-                  // Repeated variable bound earlier in this same pattern.
-                  consistent = (it->second == value);
-                } else {
-                  frame->binding.emplace(*to_bind[i], value);
-                  bound_here.push_back(*to_bind[i]);
-                  consistent = FiltersPass(*frame, *to_bind[i]);
-                }
-              }
-              if (consistent) keep_going = MatchFrom(pi + 1, frame);
-              for (const std::string& v : bound_here) frame->binding.erase(v);
-              return keep_going;
-            });
-        probe_span.AddArg("ok", st.ok());
-        if (!st.ok()) {
-          // Degrade: this endpoint's contribution to the pattern is lost,
-          // but the enumeration (and the other endpoint) continues.
-          RecordProbeFailure(target, st);
-        }
-        for (size_t k = 0; k < links_added; ++k) frame->links_used.pop_back();
-        if (!keep_going || stop_) return false;
-      }
-    }
-  }
-  return true;
-}
-
-bool Execution::MatchFrom(size_t pi, Frame* frame) {
-  if (pi == ordered_.size()) return EmitSolution(*frame);
-  if (stop_) return false;
-  for (const QueryEndpoint* target : {left_, right_}) {
-    if (!target->CanAnswer(*ordered_[pi])) continue;
-    if (!MatchAtEndpoint(pi, target, frame)) return false;
-  }
-  return true;
-}
-
-Result<FederatedResult> Execution::Run() {
-  if (!query_.optionals.empty() || !query_.union_branches.empty()) {
-    return Status::InvalidArgument(
-        "OPTIONAL/UNION are not supported in federated queries");
-  }
-  const std::vector<std::string> mentioned = query_.MentionedVariables();
-  std::unordered_set<std::string> known(mentioned.begin(), mentioned.end());
-  for (const std::string& v : query_.projection) {
-    if (!known.count(v)) {
-      return Status::InvalidArgument("projected variable ?" + v +
-                                     " not mentioned in WHERE");
-    }
-  }
-  result_.variables = query_.projection.empty() ? mentioned : query_.projection;
-
-  // Greedy boundness ordering, as in the single-store evaluator.
-  std::vector<const TriplePatternAst*> remaining;
-  for (const auto& tp : query_.where) remaining.push_back(&tp);
-  std::unordered_set<std::string> bound;
-  auto score = [&bound](const TriplePatternAst& tp) {
-    int s = 0;
-    for (const TermOrVar* tv : {&tp.subject, &tp.predicate, &tp.object}) {
-      if (!IsVariable(*tv) ||
-          bound.count(std::get<sparql::Variable>(*tv).name)) {
-        ++s;
-      }
-    }
-    return s;
-  };
-  while (!remaining.empty()) {
-    size_t best = 0;
-    int best_score = -1;
-    for (size_t i = 0; i < remaining.size(); ++i) {
-      int s = score(*remaining[i]);
-      if (s > best_score) {
-        best_score = s;
-        best = i;
-      }
-    }
-    const TriplePatternAst* chosen = remaining[best];
-    remaining.erase(remaining.begin() + best);
-    ordered_.push_back(chosen);
-    for (const TermOrVar* tv :
-         {&chosen->subject, &chosen->predicate, &chosen->object}) {
-      if (IsVariable(*tv)) bound.insert(std::get<sparql::Variable>(*tv).name);
-    }
-  }
-
-  Frame frame;
-  MatchFrom(0, &frame);
-  if (stop_) {
-    // The deadline expired mid-enumeration; surface it as a query-level
-    // error entry (the rows gathered so far are still returned).
-    result_.degraded = true;
-    EndpointError err;
-    err.endpoint = "query";
-    err.code = StatusCode::kDeadlineExceeded;
-    err.message = "query deadline expired during enumeration";
-    result_.errors.push_back(std::move(err));
-  }
-
-  if (query_.order_by.has_value()) {
-    const auto& vars = result_.variables;
-    const auto it =
-        std::find(vars.begin(), vars.end(), query_.order_by->var.name);
-    if (it == vars.end()) {
-      return Status::InvalidArgument("ORDER BY variable ?" +
-                                     query_.order_by->var.name +
-                                     " not in the result");
-    }
-    const size_t col = static_cast<size_t>(it - vars.begin());
-    const bool desc = query_.order_by->descending;
-    std::stable_sort(
-        result_.rows.begin(), result_.rows.end(),
-        [col, desc](const ProvenancedRow& a, const ProvenancedRow& b) {
-          return desc ? CompareTerms(a.values[col], sparql::CompareOp::kGt,
-                                     b.values[col])
-                      : CompareTerms(a.values[col], sparql::CompareOp::kLt,
-                                     b.values[col]);
-        });
-    if (query_.limit.has_value() && result_.rows.size() > *query_.limit) {
-      result_.rows.resize(*query_.limit);
-    }
-  }
-  return std::move(result_);
-}
-
-/// Compiled execution: the same enumeration as Execution, but over a
-/// CompiledQuery — dense `const Term*` slot frames instead of string-keyed
-/// maps, sameAs expansion through the LinkIndex id view, per-slot filter
-/// lists, link provenance as id pairs (materialized to strings only at
-/// emit), and DISTINCT keyed on interned id tuples instead of N-Triples
-/// strings. Probe order, substitution order, and degradation semantics are
-/// deliberately identical to Execution, so both paths produce bit-identical
-/// results and issue the identical probe sequence (which also keeps
-/// fault-injection RNG draws aligned between paths).
+/// Execution of one CompiledQuery: dense `const Term*` slot frames, sameAs
+/// expansion through the LinkIndex id view, per-slot filter lists, link
+/// provenance as id pairs (materialized to strings only at emit), and
+/// DISTINCT keyed on interned id tuples. Patterns are enumerated depth
+/// first in plan order; for each, endpoints are tried left then right and
+/// substitutions in co-referent insertion order, so the probe sequence (and
+/// with it every fault-injection RNG draw) depends only on the query, the
+/// link index and the rows the endpoints return.
 class CompiledExecution {
  public:
   CompiledExecution(const QueryEndpoint* left, const QueryEndpoint* right,
@@ -556,8 +217,7 @@ bool CompiledExecution::MatchAtEndpoint(size_t pi,
           }
         }
         bool keep_going = true;
-        // Mirrors the legacy path: one span per issued probe, nesting with
-        // the recursive enumeration (see Execution::MatchAtEndpoint).
+        // One span per issued probe, nesting with the recursive enumeration.
         ALEX_TRACE_SPAN_VAR(probe_span, "federation", "pattern_probe");
         probe_span.AddArg("pattern", pi);
         probe_span.AddArg("endpoint", std::string_view(target->name()));
@@ -747,15 +407,8 @@ Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
 
 Result<FederatedResult> FederatedEngine::Execute(
     const SelectQuery& query) const {
-  if (mode_ == ExecutionMode::kLegacyStrings) {
-    return Instrumented([&] {
-      return Execution(left_, right_, links_, query, clock_,
-                       deadline_seconds_)
-          .Run();
-    });
-  }
   // Compile inside the instrumented scope so invalid queries count against
-  // fed.queries on both paths.
+  // fed.queries.
   return Instrumented([&]() -> Result<FederatedResult> {
     ALEX_ASSIGN_OR_RETURN(CompiledQuery plan, CompiledQuery::Compile(query));
     return CompiledExecution(left_, right_, links_, plan, clock_,
@@ -775,10 +428,6 @@ Result<FederatedResult> FederatedEngine::Execute(
 
 Result<FederatedResult> FederatedEngine::ExecuteText(
     std::string_view query_text) const {
-  if (mode_ == ExecutionMode::kLegacyStrings) {
-    ALEX_ASSIGN_OR_RETURN(SelectQuery query, sparql::ParseQuery(query_text));
-    return Execute(query);
-  }
   Result<std::shared_ptr<const CompiledQuery>> plan =
       plan_cache_.GetOrCompile(query_text);
   if (!plan.ok()) return plan.status();

@@ -63,21 +63,11 @@ struct FederatedResult {
 /// it. With plain in-process Endpoints nothing can fail and results are
 /// identical to the pre-fault-tolerance engine, bit for bit.
 ///
-/// Execution paths: the default path compiles queries into CompiledQuery
-/// plans (dense variable slots, per-slot filters, id-level sameAs
-/// expansion, DISTINCT keyed on id tuples) and memoizes them per query
-/// text. The pre-compilation string path (unordered_map frames, N-Triples
-/// DISTINCT keys, per-call re-planning) stays selectable as the equivalence
-/// reference: both paths issue the identical probe sequence and produce
-/// bit-identical results, which the federation test suite asserts under
-/// healthy and fault-injected stacks alike.
+/// Queries are compiled into CompiledQuery plans (dense variable slots,
+/// per-slot filters, id-level sameAs expansion, DISTINCT keyed on id
+/// tuples); ExecuteText memoizes the plan per query text.
 class FederatedEngine {
  public:
-  enum class ExecutionMode {
-    kCompiled,       // Compile-then-execute (default).
-    kLegacyStrings,  // Pre-compilation reference path.
-  };
-
   /// Exactly two endpoints (the paper links dataset pairs); `links` maps
   /// entities of endpoints[0] to entities of endpoints[1]. Pointers are
   /// borrowed and must outlive the engine.
@@ -90,21 +80,15 @@ class FederatedEngine {
   /// stack uses so injected latency counts against the deadline.
   void SetQueryDeadline(const Clock* clock, double deadline_seconds);
 
-  /// Selects the execution path for Execute/ExecuteText. The legacy path is
-  /// the equivalence baseline; production traffic runs compiled.
-  void set_execution_mode(ExecutionMode mode) { mode_ = mode; }
-  ExecutionMode execution_mode() const { return mode_; }
-
-  /// Executes a parsed SELECT query across the federation (compiling it
-  /// first in compiled mode).
+  /// Compiles and executes a parsed SELECT query across the federation.
   Result<FederatedResult> Execute(const sparql::SelectQuery& query) const;
 
-  /// Executes a pre-compiled plan (always the compiled path, regardless of
-  /// mode). The plan may be shared across engines and threads.
+  /// Executes a pre-compiled plan. The plan may be shared across engines
+  /// and threads.
   Result<FederatedResult> Execute(const CompiledQuery& plan) const;
 
-  /// Parses and executes. In compiled mode the plan is memoized per query
-  /// text (fed.plan_cache_hits), so repeated traffic parses and plans once.
+  /// Parses and executes. The plan is memoized per query text
+  /// (fed.plan_cache_hits), so repeated traffic parses and plans once.
   Result<FederatedResult> ExecuteText(std::string_view query_text) const;
 
  private:
@@ -116,7 +100,6 @@ class FederatedEngine {
   const LinkIndex* links_;
   const Clock* clock_ = nullptr;
   double deadline_seconds_ = kNoTimeout;
-  ExecutionMode mode_ = ExecutionMode::kCompiled;
   mutable PlanCache plan_cache_;
 };
 

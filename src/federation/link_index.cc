@@ -1,6 +1,7 @@
 #include "federation/link_index.h"
 
 #include <algorithm>
+#include <unordered_set>
 
 namespace alex::fed {
 namespace {
@@ -140,23 +141,41 @@ void LinkIndex::SaveState(BinaryWriter* w) const {
 }
 
 Status LinkIndex::LoadState(BinaryReader* r) {
+  // Counts are checked against the bytes left before anything is sized
+  // from them: an IRI takes at least its 8-byte length, an adjacency key
+  // 12 bytes, a target id 4.
+  auto check_count = [r](uint64_t count, size_t min_bytes,
+                         const char* what) -> Status {
+    if (count > r->remaining() / min_bytes) {
+      return Status::ParseError("link index: " + std::to_string(count) + " " +
+                                what + " exceed the payload");
+    }
+    return Status::OK();
+  };
   uint64_t num_iris = 0;
   ALEX_RETURN_NOT_OK(r->ReadU64(&num_iris));
+  ALEX_RETURN_NOT_OK(check_count(num_iris, 8, "IRIs"));
   std::deque<rdf::Term> terms;
   std::unordered_map<std::string, IriId> ids;
   ids.reserve(num_iris);
   for (uint64_t i = 0; i < num_iris; ++i) {
     std::string iri;
     ALEX_RETURN_NOT_OK(r->ReadBytes(&iri));
-    ids.emplace(iri, static_cast<IriId>(i));
+    // A repeated IRI would leave adjacency pointing at an id the string
+    // view cannot reach.
+    if (!ids.emplace(iri, static_cast<IriId>(i)).second) {
+      return Status::ParseError("link index: duplicate IRI " + iri);
+    }
     terms.push_back(rdf::Term::Iri(std::move(iri)));
   }
 
   auto read_adjacency =
-      [r, num_iris](std::unordered_map<IriId, std::vector<IriId>>* adj,
-                    uint64_t* edge_total) -> Status {
+      [r, num_iris, &check_count](
+          std::unordered_map<IriId, std::vector<IriId>>* adj,
+          uint64_t* edge_total) -> Status {
     uint64_t keys = 0;
     ALEX_RETURN_NOT_OK(r->ReadU64(&keys));
+    ALEX_RETURN_NOT_OK(check_count(keys, 12, "adjacency keys"));
     adj->clear();
     adj->reserve(keys);
     for (uint64_t i = 0; i < keys; ++i) {
@@ -168,7 +187,13 @@ Status LinkIndex::LoadState(BinaryReader* r) {
       }
       uint64_t len = 0;
       ALEX_RETURN_NOT_OK(r->ReadU64(&len));
-      std::vector<IriId>& targets = (*adj)[id];
+      auto [it, inserted] = adj->try_emplace(id);
+      if (!inserted) {
+        return Status::ParseError("link index: duplicate adjacency key id " +
+                                  std::to_string(id));
+      }
+      ALEX_RETURN_NOT_OK(check_count(len, 4, "adjacency targets"));
+      std::vector<IriId>& targets = it->second;
       targets.resize(len);
       for (uint64_t j = 0; j < len; ++j) {
         ALEX_RETURN_NOT_OK(r->ReadU32(&targets[j]));
@@ -193,6 +218,25 @@ Status LinkIndex::LoadState(BinaryReader* r) {
   if (left_edges != size || right_edges != size) {
     return Status::ParseError(
         "link index: edge counts disagree with recorded size");
+  }
+  // With equal edge counts, the right view mirrors the left one iff each
+  // right edge cancels a distinct left edge.
+  std::unordered_set<uint64_t> edges;
+  edges.reserve(size);
+  for (const auto& [lid, rights] : left_ids) {
+    for (IriId rid : rights) {
+      if (!edges.insert(uint64_t{lid} << 32 | rid).second) {
+        return Status::ParseError("link index: duplicate link");
+      }
+    }
+  }
+  for (const auto& [rid, lefts] : right_ids) {
+    for (IriId lid : lefts) {
+      if (edges.erase(uint64_t{lid} << 32 | rid) == 0) {
+        return Status::ParseError(
+            "link index: left and right adjacency disagree");
+      }
+    }
   }
 
   // Rebuild the string views from the id views so the two stay mirrored.

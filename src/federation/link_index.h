@@ -31,14 +31,14 @@ struct SameAsLink {
 /// (adding explored links, removing rejected ones).
 ///
 /// Two views coexist:
-///  - the string view (`RightsFor`/`LeftsFor`), kept for the legacy
-///    execution path and external callers;
+///  - the string view (`RightsFor`/`LeftsFor`, `Contains`, `AllLinks`),
+///    for callers that hold IRIs;
 ///  - an interned id view: every IRI that ever appeared in a link gets a
 ///    dense IriId with a stable `rdf::Term` behind it, and adjacency is
-///    id -> id. The compiled execution path expands sameAs co-referents
-///    through this view, so the innermost join loop allocates no strings.
+///    id -> id. Query execution expands sameAs co-referents through this
+///    view, so the innermost join loop allocates no strings.
 /// Both views are mutated together and enumerate co-referents in identical
-/// (insertion) order, which keeps the two execution paths bit-identical.
+/// (insertion) order.
 ///
 /// `epoch()` increments on every successful Add/Remove — the invalidation
 /// signal probe caches watch (see fed::CachingEndpoint) so link mutations
@@ -103,7 +103,10 @@ class LinkIndex {
   void SaveState(BinaryWriter* w) const;
 
   /// Restores a snapshot saved by SaveState() into this index, replacing
-  /// its contents. All-or-nothing: on a corrupt payload the index is left
+  /// its contents. All-or-nothing: on a corrupt payload (truncated, an id
+  /// out of range, an IRI, adjacency key or link listed twice, left and
+  /// right adjacency that do not mirror each other, edge counts that
+  /// disagree with the size) it returns ParseError and leaves the index
   /// untouched.
   Status LoadState(BinaryReader* r);
 

@@ -103,7 +103,7 @@ TEST(ArenaStlTest, VectorUsesArena) {
 }
 
 TEST(ArenaStlTest, NullArenaFallsBackToHeap) {
-  // The legacy path: same container type, no arena behind it.
+  // Same container type, no arena behind it.
   std::vector<int, ArenaStl<int>> v;  // Default allocator = heap-backed.
   for (int i = 0; i < 1000; ++i) v.push_back(i);
   EXPECT_EQ(v.size(), 1000u);

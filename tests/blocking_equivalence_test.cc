@@ -1,15 +1,24 @@
-// Equivalence guarantee of the shared-BlockingIndex build (core/blocking.h):
-// the optimization must change no observable behaviour. For every partition
-// split, the optimized LinkSpace::Build and the legacy per-partition
-// BuildLegacy must agree on the kept-pair set, every build stat, and every
-// pair's exact feature set (keys and double scores) — on scenarios from the
+// Golden digests of the link-space build (core/blocking.h, Section 6.1).
+// For every partition split, a digest folds the kept-pair set, every build
+// stat, the feature-index shape, and every pair's exact feature set (keys,
+// double score bits, per-feature index sizes) — on scenarios from the
 // synthetic generator, not just toy fixtures.
+//
+// The digests were captured before a second, string-keyed implementation
+// of the build (per-partition right-side inversion, values re-parsed per
+// pair) was deleted: the shared-BlockingIndex build and that reference
+// produced every one of them bit for bit. They cannot be regenerated from
+// current sources, only re-verified. The check against the uncached
+// ComputeFeatureSet stays a live comparison.
 
 #include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
+#include "core/checkpoint.h"
 #include "core/link_space.h"
 #include "core/partitioned.h"
 #include "datagen/generator.h"
@@ -23,62 +32,52 @@ std::vector<PairKey> SortedPairs(const LinkSpace& space) {
   return pairs;
 }
 
-void ExpectStatsEqual(const LinkSpace::BuildStats& a,
-                      const LinkSpace::BuildStats& b) {
-  EXPECT_EQ(a.total_possible, b.total_possible);
-  EXPECT_EQ(a.candidate_pairs, b.candidate_pairs);
-  EXPECT_EQ(a.kept_pairs, b.kept_pairs);
-  EXPECT_EQ(a.features_indexed, b.features_indexed);
-}
-
-void ExpectFeatureSetsEqual(const FeatureSet& a, const FeatureSet& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].key, b[i].key);
-    // Exact double equality: the cached and uncached paths must run the
-    // same arithmetic on the same parsed values.
-    EXPECT_EQ(a[i].score, b[i].score);
+/// FNV-1a (ckpt::Checksum) over every observable bit of a finished space,
+/// in canonical pair order.
+uint64_t SpaceDigest(const LinkSpace& space) {
+  const LinkSpace::BuildStats& s = space.stats();
+  BinaryWriter w;
+  for (uint64_t v : {s.total_possible, s.candidate_pairs, s.kept_pairs,
+                     s.features_indexed, uint64_t{space.num_features()},
+                     uint64_t{space.MaxFeatureCount()}}) {
+    w.WriteU64(v);
   }
+  for (PairKey key : SortedPairs(space)) {
+    w.WriteU64(key);
+    const FeatureSet& fs = *space.FeaturesOf(key);
+    w.WriteU64(fs.size());
+    for (const FeatureValue& v : fs) {
+      w.WriteU64(v.key);
+      w.WriteDouble(v.score);
+      w.WriteU64(space.FeatureCount(v.key));
+    }
+  }
+  return ckpt::Checksum(w.buffer());
 }
 
-/// Builds the same partition with the optimized and legacy paths and
-/// asserts the results are indistinguishable.
-void ExpectEquivalentBuilds(const datagen::GeneratedPair& pair,
-                            const std::vector<rdf::EntityId>& lefts,
-                            const BuildResources& res, double theta,
-                            size_t max_block_pairs) {
-  LinkSpace optimized;
-  optimized.Build(pair.left, pair.right, lefts, theta, max_block_pairs, res);
-  LinkSpace legacy;
-  legacy.BuildLegacy(pair.left, pair.right, lefts, theta, max_block_pairs);
-
-  ExpectStatsEqual(optimized.stats(), legacy.stats());
-  const std::vector<PairKey> pairs = SortedPairs(optimized);
-  ASSERT_EQ(pairs, SortedPairs(legacy));
-  EXPECT_EQ(optimized.num_features(), legacy.num_features());
-  EXPECT_EQ(optimized.MaxFeatureCount(), legacy.MaxFeatureCount());
-
-  for (PairKey key : pairs) {
-    const FeatureSet* fs_opt = optimized.FeaturesOf(key);
-    const FeatureSet* fs_leg = legacy.FeaturesOf(key);
-    ASSERT_NE(fs_opt, nullptr);
-    ASSERT_NE(fs_leg, nullptr);
-    ExpectFeatureSetsEqual(*fs_opt, *fs_leg);
-    // Also pin both against the uncached direct computation, so a
-    // ValueCache bug cannot hide behind a matching legacy-path bug.
-    const FeatureSet direct = ComputeFeatureSet(
-        pair.left, feedback::PairLeft(key), pair.right,
-        feedback::PairRight(key), theta);
-    ExpectFeatureSetsEqual(*fs_opt, direct);
-    // Per-feature index sizes agree for every feature this pair carries.
-    for (const FeatureValue& f : *fs_opt) {
-      EXPECT_EQ(optimized.FeatureCount(f.key), legacy.FeatureCount(f.key));
+/// Pins every kept pair's feature set against the uncached direct
+/// computation, so a ValueCache or memo bug cannot hide in the digest.
+void ExpectMatchesDirect(const datagen::GeneratedPair& pair,
+                         const LinkSpace& space, double theta) {
+  for (PairKey key : space.pairs()) {
+    const FeatureSet& built = *space.FeaturesOf(key);
+    const FeatureSet direct =
+        ComputeFeatureSet(pair.left, feedback::PairLeft(key), pair.right,
+                          feedback::PairRight(key), theta);
+    ASSERT_EQ(built.size(), direct.size());
+    for (size_t i = 0; i < built.size(); ++i) {
+      EXPECT_EQ(built[i].key, direct[i].key);
+      // Exact double equality: the cached and uncached paths must run the
+      // same arithmetic on the same parsed values.
+      EXPECT_EQ(built[i].score, direct[i].score);
     }
   }
 }
 
-void RunScenarioEquivalence(const datagen::ScenarioConfig& config,
-                            size_t max_block_pairs) {
+/// Builds every split of 1 and 3 partitions against shared resources and
+/// returns the space digests in order: {p1}, {p3 split 0, 1, 2}.
+std::vector<uint64_t> ScenarioDigests(const datagen::ScenarioConfig& config,
+                                      size_t max_block_pairs) {
   const datagen::GeneratedPair pair = datagen::GenerateScenario(config);
   const BlockingIndex right_index(pair.right);
   const TermKeyCache left_keys(pair.left);
@@ -87,15 +86,20 @@ void RunScenarioEquivalence(const datagen::ScenarioConfig& config,
   const BuildResources res{&right_index, &left_keys, &left_values,
                            &right_values};
 
+  std::vector<uint64_t> digests;
   for (size_t partitions : {size_t{1}, size_t{3}}) {
     std::vector<std::vector<rdf::EntityId>> splits(partitions);
     for (rdf::EntityId e = 0; e < pair.left.num_entities(); ++e) {
       splits[e % partitions].push_back(e);
     }
     for (const auto& lefts : splits) {
-      ExpectEquivalentBuilds(pair, lefts, res, 0.3, max_block_pairs);
+      LinkSpace space;
+      space.Build(pair.left, pair.right, lefts, 0.3, max_block_pairs, res);
+      ExpectMatchesDirect(pair, space, 0.3);
+      digests.push_back(SpaceDigest(space));
     }
   }
+  return digests;
 }
 
 TEST(BlockingEquivalenceTest, NoisyPersonScenario) {
@@ -110,13 +114,16 @@ TEST(BlockingEquivalenceTest, NoisyPersonScenario) {
   config.domains = {"person"};
   config.value_noise = 0.6;
   config.predicate_rename_prob = 0.4;
-  RunScenarioEquivalence(config, 20000);
+  const std::vector<uint64_t> golden = {
+      0xf44a1f060734da81ull, 0xf6ff0639cce3e551ull, 0x5c05f7f0d198a17bull,
+      0xa435bd5a27f854a3ull};
+  EXPECT_EQ(ScenarioDigests(config, 20000), golden);
 }
 
 TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
   // Decoys create big shared-name blocks and the tight cap forces the
-  // stop-value skip logic to fire, which is where a divergence between the
-  // per-partition left counts of the two paths would show up.
+  // stop-value skip logic to fire, which is where a wrong per-partition
+  // left count would show up.
   datagen::ScenarioConfig config;
   config.name = "equiv_ambiguous";
   config.seed = 2718;
@@ -126,10 +133,13 @@ TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
   config.domains = {"person", "organization", "drug"};
   config.value_noise = 0.3;
   config.ambiguity = 0.8;
-  RunScenarioEquivalence(config, 150);
+  const std::vector<uint64_t> golden = {
+      0x348e7fddb82f8bc5ull, 0xff5fb3d7dd200767ull, 0x3eec8af1bc5f68bdull,
+      0x8edb06973404e964ull};
+  EXPECT_EQ(ScenarioDigests(config, 150), golden);
 }
 
-TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesLegacy) {
+TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesGolden) {
   datagen::ScenarioConfig config;
   config.seed = 99;
   config.num_shared = 40;
@@ -144,13 +154,10 @@ TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesLegacy) {
   }
   LinkSpace wrapped;
   wrapped.Build(pair.left, pair.right, lefts, 0.3, 20000);
-  LinkSpace legacy;
-  legacy.BuildLegacy(pair.left, pair.right, lefts, 0.3, 20000);
-  ExpectStatsEqual(wrapped.stats(), legacy.stats());
-  EXPECT_EQ(SortedPairs(wrapped), SortedPairs(legacy));
+  EXPECT_EQ(SpaceDigest(wrapped), 0x02d3e2b1ee02656full);
 }
 
-TEST(BlockingEquivalenceTest, PartitionedBuildMatchesLegacyMode) {
+TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
   datagen::ScenarioConfig scenario;
   scenario.seed = 4242;
   scenario.num_shared = 60;
@@ -163,21 +170,18 @@ TEST(BlockingEquivalenceTest, PartitionedBuildMatchesLegacyMode) {
   AlexConfig config;
   config.num_partitions = 4;
   config.num_threads = 2;
+  PartitionedAlex alex(&pair.left, &pair.right, config);
+  alex.Build();
+  EXPECT_GT(alex.shared_index_seconds(), 0.0);
 
-  PartitionedAlex shared(&pair.left, &pair.right, config);
-  shared.Build();
-  EXPECT_GT(shared.shared_index_seconds(), 0.0);
-
-  config.shared_blocking_index = false;
-  PartitionedAlex legacy(&pair.left, &pair.right, config);
-  legacy.Build();
-  EXPECT_EQ(legacy.shared_index_seconds(), 0.0);
-
-  for (size_t p = 0; p < shared.num_partitions(); ++p) {
-    EXPECT_EQ(SortedPairs(shared.space(p)), SortedPairs(legacy.space(p)));
-    ExpectStatsEqual(shared.space(p).stats(), legacy.space(p).stats());
-    EXPECT_EQ(shared.space(p).num_features(), legacy.space(p).num_features());
+  std::vector<uint64_t> digests;
+  for (size_t p = 0; p < alex.num_partitions(); ++p) {
+    digests.push_back(SpaceDigest(alex.space(p)));
   }
+  const std::vector<uint64_t> golden = {
+      0x6f99e9cd1897874full, 0xf37aafea2eb5bdbfull, 0xbd6adb458c7f8f9dull,
+      0x5830d50e7f28d094ull};
+  EXPECT_EQ(digests, golden);
 }
 
 }  // namespace

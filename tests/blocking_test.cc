@@ -17,7 +17,7 @@ TEST(HashBlockKeyTest, DeterministicAndKindSeparated) {
   EXPECT_EQ(HashBlockKey(BlockKind::kValue, "lebron james"),
             HashBlockKey(BlockKind::kValue, "lebron james"));
   // The same text under different kinds must land in different blocks
-  // (the legacy scheme's "v:" / "t:" / "p:" namespacing).
+  // (what "v:" / "t:" / "p:" string prefixes would namespace).
   EXPECT_NE(HashBlockKey(BlockKind::kValue, "lebron"),
             HashBlockKey(BlockKind::kToken, "lebron"));
   EXPECT_NE(HashBlockKey(BlockKind::kToken, "lebron"),
@@ -26,7 +26,7 @@ TEST(HashBlockKeyTest, DeterministicAndKindSeparated) {
             HashBlockKey(BlockKind::kValue, "b"));
 }
 
-TEST(ComputeTermBlockingKeysTest, MatchesLegacyKeyStructure) {
+TEST(ComputeTermBlockingKeysTest, ValueTokenAndPrefixKeys) {
   // "Lebron James" -> value key, two token keys, one prefix key ("lebro").
   std::vector<BlockKey> keys;
   ComputeTermBlockingKeys(Term::Literal("Lebron James"), &keys);
@@ -46,7 +46,7 @@ TEST(ComputeTermBlockingKeysTest, MatchesLegacyKeyStructure) {
   std::sort(expected.begin(), expected.end());
   EXPECT_EQ(keys, expected);
 
-  // IRIs are keyed by their lowercased local name, like the legacy path.
+  // IRIs are keyed by their lowercased local name.
   ComputeTermBlockingKeys(Term::Iri("http://x/Lebron_James"), &keys);
   std::vector<BlockKey> iri_keys = keys;
   ComputeTermBlockingKeys(Term::Literal("lebron_james"), &keys);
@@ -105,7 +105,7 @@ TEST_F(TermKeyCacheTest, EntityKeysAreDeduplicatedUnion) {
   std::vector<BlockKey> keys;
   cache.EntityKeys(*e0, &keys);
   // e0 carries "Common Value" twice and "Unique Zorp" once; the union is
-  // deduplicated and sorted (set semantics, as the legacy string sets had).
+  // deduplicated and sorted (set semantics).
   std::vector<BlockKey> expected;
   std::vector<BlockKey> term_keys;
   ComputeTermBlockingKeys(Term::Literal("Common Value"), &term_keys);

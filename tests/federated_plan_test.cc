@@ -1,8 +1,14 @@
 // Tests for the compiled federated query path: CompiledQuery compilation
-// (validation parity with the legacy string path), the PlanCache memo, and
-// — the load-bearing invariant — bit-identical results between the compiled
-// and legacy execution modes across query shapes, including a randomized
-// fuzz sweep over generated datasets and query texts.
+// (its InvalidArgument messages asserted literally), the PlanCache memo,
+// and — the load-bearing invariant — golden result digests across query
+// shapes, including a randomized fuzz sweep over generated datasets and
+// query texts.
+//
+// Each golden is the FNV-1a (core::ckpt::Checksum) of Digest() below. They
+// were captured before a second, string-frame execution path (unordered_map
+// frames, N-Triples DISTINCT keys, per-call re-planning) was deleted: that
+// path and the compiled one produced every digest bit for bit. They cannot
+// be regenerated from current sources, only re-verified.
 
 #include <algorithm>
 #include <memory>
@@ -12,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "core/checkpoint.h"
 #include "federation/compiled_query.h"
 #include "federation/endpoint.h"
 #include "federation/federated_engine.h"
@@ -76,17 +83,12 @@ class FederatedPlanTest : public ::testing::Test {
                                                 right_ep_.get(), &links_);
   }
 
-  /// Executes `query` in both modes and expects identical digests; returns
-  /// the compiled-mode result.
-  Result<FederatedResult> ExpectModesAgree(const std::string& query) {
-    engine_->set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    Result<FederatedResult> compiled = engine_->ExecuteText(query);
-    engine_->set_execution_mode(
-        FederatedEngine::ExecutionMode::kLegacyStrings);
-    Result<FederatedResult> legacy = engine_->ExecuteText(query);
-    engine_->set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    EXPECT_EQ(Digest(compiled), Digest(legacy)) << query;
-    return compiled;
+  /// Executes `query` and expects its digest to equal `golden`.
+  Result<FederatedResult> ExpectGolden(const std::string& query,
+                                       uint64_t golden) {
+    Result<FederatedResult> r = engine_->ExecuteText(query);
+    EXPECT_EQ(core::ckpt::Checksum(Digest(r)), golden) << query;
+    return r;
   }
 
   rdf::Dataset left_{"hr"};
@@ -97,9 +99,8 @@ class FederatedPlanTest : public ::testing::Test {
   std::unique_ptr<FederatedEngine> engine_;
 };
 
-TEST_F(FederatedPlanTest, CompileRejectsWhatLegacyRejects) {
-  // Same InvalidArgument messages as the legacy path, so callers switching
-  // modes see no behavior change even on bad input.
+TEST_F(FederatedPlanTest, CompileRejectsUnsupportedQueries) {
+  // The exact InvalidArgument messages callers have always seen.
   auto unsupported = CompiledQuery::CompileText(
       "SELECT ?x WHERE { ?x <http://l/p> ?y . "
       "OPTIONAL { ?x <http://l/q> ?z . } }");
@@ -130,9 +131,9 @@ TEST_F(FederatedPlanTest, CompileResolvesSlotsAndFilters) {
   EXPECT_EQ(plan->projection_slots()[0], p.comp[2].slot);
 }
 
-TEST_F(FederatedPlanTest, InvalidOrderByFailsAfterExecutionInBothModes) {
-  // Legacy reports a bad ORDER BY variable only after enumeration, so it is
-  // deliberately not a compile error.
+TEST_F(FederatedPlanTest, InvalidOrderByFailsAfterExecution) {
+  // A bad ORDER BY variable is reported only after enumeration, as it
+  // always was, so it is deliberately not a compile error.
   const std::string query =
       "SELECT ?v WHERE { <http://l/acme> <http://l/name> ?v . } "
       "ORDER BY ?nope";
@@ -140,12 +141,12 @@ TEST_F(FederatedPlanTest, InvalidOrderByFailsAfterExecutionInBothModes) {
   ASSERT_TRUE(plan.ok()) << plan.status();
   EXPECT_TRUE(plan->has_order_by());
   EXPECT_FALSE(plan->order_by_valid());
-  auto r = ExpectModesAgree(query);
+  auto r = ExpectGolden(query, 0xbe3c4f960748186cull);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().message(), "ORDER BY variable ?nope not in the result");
 }
 
-TEST_F(FederatedPlanTest, CuratedQueriesMatchLegacyBitForBit) {
+TEST_F(FederatedPlanTest, CuratedQueriesMatchGoldens) {
   const std::vector<std::string> queries = {
       // Spanning query: needs the sameAs link for the right-side rows.
       "SELECT ?p ?o WHERE { <http://l/acme> ?p ?o . }",
@@ -167,16 +168,43 @@ TEST_F(FederatedPlanTest, CuratedQueriesMatchLegacyBitForBit) {
       // Empty result.
       "SELECT ?v WHERE { <http://l/nobody> <http://l/name> ?v . }",
   };
-  for (const std::string& q : queries) {
-    auto r = ExpectModesAgree(q);
-    EXPECT_TRUE(r.ok()) << q << ": " << r.status();
+  const std::vector<uint64_t> golden = {
+      0x95a875732225525eull, 0x41c408a54b88bacbull, 0x9425302b499a7383ull,
+      0xdfe2fad2c6fa1b42ull, 0x3b8b0833e84ddf01ull, 0x07078ab2c0effbeaull,
+      0x8a3f0c011942d211ull, 0x01c52069ad2c46b3ull};
+  ASSERT_EQ(queries.size(), golden.size());
+  for (size_t i = 0; i < queries.size(); ++i) {
+    auto r = ExpectGolden(queries[i], golden[i]);
+    EXPECT_TRUE(r.ok()) << queries[i] << ": " << r.status();
   }
 }
 
-TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchLegacy) {
-  // Randomized equivalence sweep: generated datasets, generated query
-  // texts (joins, filters, DISTINCT, LIMIT), both execution modes. Any
-  // digest mismatch is a real divergence between the paths.
+constexpr int kFuzzIterations = 60;
+constexpr uint64_t kFuzzGoldens[kFuzzIterations] = {
+    0x82c63c3781f807bdull, 0x708c2a377763acb7ull, 0xa8a3eba43b0cb6eaull,
+    0x695339b6c36f0f67ull, 0x6ac2749279972b56ull, 0x9e3e2330f054ac79ull,
+    0xc8457e15288e41e4ull, 0xfaeaffaa34c821afull, 0x07ae827607503f8bull,
+    0x94a1c80ddd4fb4dfull, 0xd3fcb9cd0f911954ull, 0x2619af74c8747ddaull,
+    0xba533ab736ccfdfdull, 0xfaeaffaa34c821afull, 0x23f5053c34f851daull,
+    0x5b3d069ebe186f48ull, 0xaf7ecab662c334d9ull, 0x07ae827607503f8bull,
+    0x5439dcf0b4de48b8ull, 0xad8af08a78168791ull, 0xb64026d5361d0861ull,
+    0x928f2944743409e6ull, 0x70eba1ebcfc1ee4full, 0x6e6ec84ffab328b7ull,
+    0x6e6ec84ffab328b7ull, 0xd7423b42b206db03ull, 0xd73ad49e4e06ec1bull,
+    0x0e910972ce853f09ull, 0x355c49da5a6dcbbcull, 0xb64026d5361d0861ull,
+    0xee3fe5decb1685a4ull, 0xae4f12f5c4bef46bull, 0x6e6ec84ffab328b7ull,
+    0xb2756d94a96906f9ull, 0x66d78b1fc6550d4aull, 0x155b847a569d98daull,
+    0x3c1adb7e51db1500ull, 0x4761d2aeec2deed8ull, 0x66d78b1fc6550d4aull,
+    0x716e46206a070956ull, 0xe405e38963b51be2ull, 0x355c49da5a6dcbbcull,
+    0xc8457e15288e41e4ull, 0xff0103a65bbdf2fdull, 0x5439dcf0b4de48b8ull,
+    0xb2756d94a96906f9ull, 0x1376d64677b57e8bull, 0x66d78b1fc6550d4aull,
+    0xa5083283d91123dcull, 0x155b847a569d98daull, 0x4d48b46762146b2eull,
+    0xd5a3f26fe09ff74cull, 0x3c1adb7e51db1500ull, 0xd7a80af8602bf3c3ull,
+    0x6e6ec84ffab328b7ull, 0x059b7d11116d5e87ull, 0x42ab370afd4610d3ull,
+    0x04e10b60b60be7c3ull, 0xb64026d5361d0861ull, 0x63b423cf728fdb8eull};
+
+TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchGoldens) {
+  // Randomized sweep: generated datasets and query texts (joins, filters,
+  // DISTINCT, LIMIT), one golden digest per iteration.
   Rng rng(20260806);
   rdf::Dataset left("fuzz-left");
   rdf::Dataset right("fuzz-right");
@@ -212,7 +240,7 @@ TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchLegacy) {
   };
   const std::vector<std::string> vars = {"?a", "?b", "?c"};
 
-  for (int iter = 0; iter < 60; ++iter) {
+  for (int iter = 0; iter < kFuzzIterations; ++iter) {
     const int num_patterns = 1 + static_cast<int>(rng.UniformInt(2));
     std::string where;
     std::vector<std::string> used;
@@ -249,12 +277,9 @@ TEST_F(FederatedPlanTest, FuzzRandomQueriesMatchLegacy) {
       query += " LIMIT " + std::to_string(1 + rng.UniformInt(5));
     }
 
-    engine.set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    auto compiled = engine.ExecuteText(query);
-    engine.set_execution_mode(FederatedEngine::ExecutionMode::kLegacyStrings);
-    auto legacy = engine.ExecuteText(query);
-    EXPECT_EQ(Digest(compiled), Digest(legacy)) << "iter " << iter << ": "
-                                                << query;
+    EXPECT_EQ(core::ckpt::Checksum(Digest(engine.ExecuteText(query))),
+              kFuzzGoldens[iter])
+        << "iter " << iter << ": " << query;
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "common/clock.h"
 #include "common/retry.h"
+#include "core/checkpoint.h"
 #include "federation/endpoint.h"
 #include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
@@ -300,7 +301,7 @@ TEST_F(FederationFaultsTest, QueryDeadlineExpiryDegradesInsteadOfFailing) {
   ASSERT_NE(deadline_error, r->errors.end());
 }
 
-/// Full observable state of a result, for cross-mode equivalence checks:
+/// Full observable state of a result, for equivalence and golden checks:
 /// row values, link provenance, degraded flag, per-endpoint error detail.
 std::string ResultDigest(const Result<FederatedResult>& r) {
   if (!r.ok()) {
@@ -322,10 +323,16 @@ std::string ResultDigest(const Result<FederatedResult>& r) {
   return d;
 }
 
-TEST_F(FederationFaultsTest, HealthyStackAllModesAndCacheStatesAgree) {
-  // On a healthy stack, all four configurations must be bit-identical:
-  // legacy strings, compiled, compiled over a cold probe cache, and
-  // compiled over a warm probe cache.
+// Goldens below are the FNV-1a (core::ckpt::Checksum) of ResultDigest().
+// They were captured before a second, string-frame execution path was
+// deleted: that path and the compiled one produced every digest bit for
+// bit, issuing the identical probe sequence even under fault injection.
+// They cannot be regenerated from current sources, only re-verified.
+
+TEST_F(FederationFaultsTest, HealthyStackCacheStatesAgreeWithGoldens) {
+  // On a healthy stack, the uncached engine, the engine over a cold probe
+  // cache, and the engine over a warm probe cache must be bit-identical,
+  // and all must match the golden digest.
   BuildStack(FaultProfile::Healthy());
   CachingEndpoint cached_left(resilient_left_.get(), ProbeCacheConfig(),
                               [this] { return links_.epoch(); });
@@ -339,28 +346,27 @@ TEST_F(FederationFaultsTest, HealthyStackAllModesAndCacheStatesAgree) {
       "?org ?p ?o . }",
       "SELECT DISTINCT ?o WHERE { <http://l/acme> ?p ?o . }",
   };
-  for (const std::string& query : queries) {
-    engine_->set_execution_mode(
-        FederatedEngine::ExecutionMode::kLegacyStrings);
-    const std::string legacy = ResultDigest(engine_->ExecuteText(query));
-    engine_->set_execution_mode(FederatedEngine::ExecutionMode::kCompiled);
-    const std::string compiled = ResultDigest(engine_->ExecuteText(query));
+  const std::vector<uint64_t> golden = {
+      0x3145369e6b42c7b9ull, 0xe988e0a1aeab4433ull, 0x7517e9f6bf7aef94ull};
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const std::string& query = queries[i];
+    const std::string uncached = ResultDigest(engine_->ExecuteText(query));
     const std::string cache_cold =
         ResultDigest(caching_engine.ExecuteText(query));
     const std::string cache_warm =
         ResultDigest(caching_engine.ExecuteText(query));
-    EXPECT_EQ(legacy, compiled) << query;
-    EXPECT_EQ(legacy, cache_cold) << query;
-    EXPECT_EQ(legacy, cache_warm) << query;
+    EXPECT_EQ(core::ckpt::Checksum(uncached), golden[i]) << query;
+    EXPECT_EQ(uncached, cache_cold) << query;
+    EXPECT_EQ(uncached, cache_warm) << query;
   }
   EXPECT_GT(cached_left.hits() + cached_right.hits(), 0u);
 }
 
-TEST_F(FederationFaultsTest, FaultInjectedModesAgreeAcrossFreshStacks) {
-  // Under fault injection, a fresh same-seeded stack per mode must produce
-  // identical results: the compiled path (with or without a cold cache in
-  // front) issues the exact probe sequence the legacy path does, so the
-  // injected fault draws line up one-for-one. Degradation detail included.
+TEST_F(FederationFaultsTest, FaultInjectedStacksMatchGoldens) {
+  // Under fault injection, a fresh same-seeded stack must reproduce the
+  // golden result, with or without a cold cache in front: both issue the
+  // same probe sequence, so the injected fault draws line up one-for-one.
+  // Degradation detail included.
   RetryPolicy retry;
   retry.max_attempts = 1;  // No retries: maximize observable degradation.
   const std::vector<std::string> queries = {
@@ -368,9 +374,17 @@ TEST_F(FederationFaultsTest, FaultInjectedModesAgreeAcrossFreshStacks) {
       "SELECT ?who ?o WHERE { ?who <http://l/worksFor> ?org . "
       "?org ?p ?o . }",
   };
+  // Per seed 1..5, one golden per query.
+  const uint64_t golden[5][2] = {
+      {0x4d5602b924c078b8ull, 0xb2ad7b6d2f4f09a5ull},
+      {0x88496eb4611c334dull, 0x4d598ab924c395a7ull},
+      {0x88496eb4611c334dull, 0x5a8504f4a4a8ce9cull},
+      {0x3145369e6b42c7b9ull, 0x575670392ca9491eull},
+      {0x401ca13da1d21782ull, 0x229f0d74c2064380ull}};
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    for (const std::string& query : queries) {
-      auto run = [&](FederatedEngine::ExecutionMode mode, bool with_cache) {
+    for (size_t qi = 0; qi < queries.size(); ++qi) {
+      const std::string& query = queries[qi];
+      auto run = [&](bool with_cache) {
         SimClock clock;
         FaultInjectedEndpoint fl(left_ep_.get(), FaultProfile::Flaky(),
                                  seed * 10 + 1, &clock);
@@ -386,17 +400,13 @@ TEST_F(FederationFaultsTest, FaultInjectedModesAgreeAcrossFreshStacks) {
             with_cache ? static_cast<const QueryEndpoint*>(&cl) : &rl,
             with_cache ? static_cast<const QueryEndpoint*>(&cr) : &rr,
             &links_);
-        engine.set_execution_mode(mode);
         return ResultDigest(engine.ExecuteText(query));
       };
-      const std::string legacy =
-          run(FederatedEngine::ExecutionMode::kLegacyStrings, false);
-      const std::string compiled =
-          run(FederatedEngine::ExecutionMode::kCompiled, false);
-      const std::string cache_cold =
-          run(FederatedEngine::ExecutionMode::kCompiled, true);
-      EXPECT_EQ(legacy, compiled) << "seed " << seed << ": " << query;
-      EXPECT_EQ(legacy, cache_cold) << "seed " << seed << ": " << query;
+      const std::string uncached = run(false);
+      const std::string cache_cold = run(true);
+      EXPECT_EQ(core::ckpt::Checksum(uncached), golden[seed - 1][qi])
+          << "seed " << seed << ": " << query;
+      EXPECT_EQ(uncached, cache_cold) << "seed " << seed << ": " << query;
     }
   }
 }
