@@ -127,6 +127,22 @@ class BinaryReader {
     return Status::OK();
   }
 
+  /// Reads a u64 record count and checks it before anything is sized from
+  /// it: `count` records of at least `min_record_bytes` each must fit in
+  /// the bytes left, so a corrupt count fails as a ParseError ("<count>
+  /// <what> exceed the payload") instead of reaching reserve()/resize() as
+  /// a huge allocation.
+  Status ReadCount(size_t min_record_bytes, std::string_view what,
+                   uint64_t* out) {
+    ALEX_RETURN_NOT_OK(ReadU64(out));
+    if (*out > remaining() / min_record_bytes) {
+      return Status::ParseError(std::to_string(*out) + " " +
+                                std::string(what) + " exceed the payload (" +
+                                std::to_string(remaining()) + " bytes left)");
+    }
+    return Status::OK();
+  }
+
   /// Reads `n` raw bytes (no length prefix).
   Status ReadRaw(size_t n, std::string_view* out) {
     ALEX_RETURN_NOT_OK(Require(n));

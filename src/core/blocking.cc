@@ -109,63 +109,6 @@ ValueCache::ValueCache(const rdf::Dataset& ds) {
   }
 }
 
-namespace {
-
-constexpr uint64_t kEmptySlot = ~uint64_t{0};
-
-/// splitmix64 finalizer: packed term-id pairs are highly regular, so the
-/// raw key would cluster badly under linear probing.
-uint64_t MixKey(uint64_t key) {
-  key ^= key >> 30;
-  key *= 0xbf58476d1ce4e5b9ULL;
-  key ^= key >> 27;
-  key *= 0x94d049bb133111ebULL;
-  key ^= key >> 31;
-  return key;
-}
-
-}  // namespace
-
-SimilarityMemo::SimilarityMemo(exec::ArenaAllocator* arena)
-    : slots_(exec::ArenaStl<Slot>(arena)) {
-  slots_.assign(1 << 16, Slot{kEmptySlot, 0.0});
-  mask_ = slots_.size() - 1;
-}
-
-void SimilarityMemo::Grow() {
-  std::vector<Slot, exec::ArenaStl<Slot>> old = std::move(slots_);
-  slots_.assign(old.size() * 2, Slot{kEmptySlot, 0.0});
-  mask_ = slots_.size() - 1;
-  for (const Slot& s : old) {
-    if (s.key == kEmptySlot) continue;
-    size_t i = MixKey(s.key) & mask_;
-    while (slots_[i].key != kEmptySlot) i = (i + 1) & mask_;
-    slots_[i] = s;
-  }
-}
-
-double SimilarityMemo::Score(rdf::TermId left, rdf::TermId right,
-                             const sim::TypedValue& lv,
-                             const sim::TypedValue& rv,
-                             const sim::StringProfile* lp,
-                             const sim::StringProfile* rp) {
-  const uint64_t key =
-      (static_cast<uint64_t>(left) << 32) | static_cast<uint64_t>(right);
-  size_t i = MixKey(key) & mask_;
-  while (slots_[i].key != key) {
-    if (slots_[i].key == kEmptySlot) {
-      ++misses_;
-      const double score = sim::ValueSimilarity(lv, rv, lp, rp);
-      slots_[i] = Slot{key, score};
-      if (++size_ * 2 > slots_.size()) Grow();  // Keep load factor <= 0.5.
-      return score;
-    }
-    i = (i + 1) & mask_;
-  }
-  ++hits_;
-  return slots_[i].score;
-}
-
 BlockingIndex::BlockingIndex(const rdf::Dataset& right) : term_keys_(right) {
   ALEX_TRACE_SPAN("build", "BlockingIndex");
   std::vector<BlockKey> scratch;

@@ -7,7 +7,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "exec/arena.h"
 #include "rdf/dataset.h"
 #include "similarity/string_metrics.h"
 #include "similarity/value.h"
@@ -97,59 +96,6 @@ class ValueCache {
  private:
   std::vector<sim::TypedValue> values_;
   std::vector<sim::StringProfile> profiles_;
-};
-
-/// Memoizes sim::ValueSimilarity per (left TermId, right TermId) pair of
-/// attribute objects. Blocking concentrates entities that share values, so
-/// the same term pair is scored for many candidate entity pairs; the O(n²)
-/// string metrics dominate build time, and this pays them once per distinct
-/// term pair. ValueSimilarity is deterministic, so memoization is
-/// observationally identical to direct calls. NOT thread-safe: each
-/// partition build owns its own memo (term-pair reuse is overwhelmingly
-/// within a partition, since a partition holds all candidate pairs of its
-/// left entities).
-class SimilarityMemo {
- public:
-  /// With an arena, the probe table lives in it (and is simply abandoned
-  /// on growth — the arena reclaims everything at once when the build
-  /// ends); without one, the global allocator backs it as before.
-  explicit SimilarityMemo(exec::ArenaAllocator* arena = nullptr);
-
-  /// Returns ValueSimilarity(lv, rv), where lv/rv must be the parsed values
-  /// of left/right and lp/rp their string profiles (either may be nullptr
-  /// to compute without profile acceleration). Computes on first sight of
-  /// the (left, right) pair and replays the stored score afterwards.
-  double Score(rdf::TermId left, rdf::TermId right, const sim::TypedValue& lv,
-               const sim::TypedValue& rv, const sim::StringProfile* lp,
-               const sim::StringProfile* rp);
-
-  /// Distinct term pairs scored so far.
-  size_t size() const { return size_; }
-
-  /// Replayed lookups / first-sight computations so far. Plain counters
-  /// (the memo is single-threaded by contract); LinkSpace::Build flushes
-  /// them into the global metrics registry once per partition build, so
-  /// the per-cell hot path carries no atomic traffic.
-  size_t hits() const { return hits_; }
-  size_t misses() const { return misses_; }
-
- private:
-  /// Open-addressing table (linear probing, power-of-two capacity): the
-  /// memo is probed once per similarity-matrix cell, so lookup cost is the
-  /// hot path. Keys pack (left TermId << 32 | right TermId); the all-ones
-  /// pattern marks empty slots (unreachable for any real dictionary, which
-  /// would need 2^32 terms on both sides).
-  struct Slot {
-    uint64_t key;
-    double score;
-  };
-  void Grow();
-
-  std::vector<Slot, exec::ArenaStl<Slot>> slots_;
-  size_t size_ = 0;
-  size_t mask_ = 0;
-  size_t hits_ = 0;
-  size_t misses_ = 0;
 };
 
 /// Inverted blocking index of one (right) dataset: BlockKey -> the entities

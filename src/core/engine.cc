@@ -279,7 +279,7 @@ void WriteKeySet(BinaryWriter* w, const std::unordered_set<PairKey>& set) {
 
 Status ReadKeySet(BinaryReader* r, std::unordered_set<PairKey>* out) {
   uint64_t n = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(8, "set keys", &n));
   out->clear();
   out->reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -449,15 +449,16 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
   ALEX_RETURN_NOT_OK(ReadKeySet(r, &positively_marked));
   ALEX_RETURN_NOT_OK(ReadKeySet(r, &visited));
 
+  // Minimum record sizes: a StateAction is 16 bytes, a key or count 8.
   uint64_t n = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(16, "generator entries", &n));
   std::unordered_map<PairKey, std::vector<StateAction>> generators;
   generators.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
     PairKey key = 0;
     ALEX_RETURN_NOT_OK(r->ReadU64(&key));
     uint64_t len = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&len));
+    ALEX_RETURN_NOT_OK(r->ReadCount(16, "generators", &len));
     std::vector<StateAction>& gens = generators[key];
     gens.resize(len);
     for (uint64_t j = 0; j < len; ++j) {
@@ -465,7 +466,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     }
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(24, "generated-link entries", &n));
   std::unordered_map<StateAction, std::vector<PairKey>, StateActionHash>
       generated_links;
   generated_links.reserve(n);
@@ -473,7 +474,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     StateAction sa;
     ALEX_RETURN_NOT_OK(ReadStateAction(r, &sa));
     uint64_t len = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&len));
+    ALEX_RETURN_NOT_OK(r->ReadCount(8, "generated links", &len));
     std::vector<PairKey>& links = generated_links[sa];
     links.resize(len);
     for (uint64_t j = 0; j < len; ++j) {
@@ -481,7 +482,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     }
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(24, "negative counts", &n));
   std::unordered_map<StateAction, size_t, StateActionHash> negative_counts;
   negative_counts.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -492,7 +493,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     negative_counts.emplace(sa, static_cast<size_t>(count));
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(16, "link negative counts", &n));
   std::unordered_map<PairKey, size_t> link_negative_counts;
   link_negative_counts.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {
@@ -503,7 +504,7 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
     link_negative_counts.emplace(key, static_cast<size_t>(count));
   }
 
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(8, "episode states", &n));
   std::vector<PairKey> episode_states(n);
   for (uint64_t i = 0; i < n; ++i) {
     ALEX_RETURN_NOT_OK(r->ReadU64(&episode_states[i]));

@@ -9,100 +9,17 @@ namespace alex::core {
 
 namespace {
 
-/// Fills `out` with one TypedValue pointer per attribute — borrowed from
-/// the cache when present, otherwise parsed into `owned` (whose storage
-/// backs the pointers) — and `profiles` with the matching StringProfile
-/// pointer (nullptr without a cache: profiles are only worth computing
-/// once per term, not once per call). `out`/`profiles` are cleared first
-/// so scratch buffers can be reused across calls.
-void GatherValues(const rdf::Dataset& ds, const std::vector<rdf::Attribute>& as,
-                  const ValueCache* cache,
-                  std::vector<const sim::TypedValue*>* out,
-                  std::vector<const sim::StringProfile*>* profiles,
-                  std::vector<sim::TypedValue>* owned) {
-  out->clear();
-  profiles->clear();
-  out->reserve(as.size());
-  profiles->reserve(as.size());
-  if (cache != nullptr) {
-    for (const rdf::Attribute& a : as) {
-      out->push_back(&cache->value(a.object));
-      profiles->push_back(&cache->profile(a.object));
-    }
-    return;
-  }
-  owned->reserve(as.size());
-  for (const rdf::Attribute& a : as) {
-    owned->push_back(sim::ParseValue(ds.dict().term(a.object)));
-  }
-  for (const sim::TypedValue& v : *owned) {
-    out->push_back(&v);
-    profiles->push_back(nullptr);
-  }
-}
-
-}  // namespace
-
-FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
-                             const rdf::Dataset& right, rdf::EntityId right_e,
-                             double theta) {
-  return ComputeFeatureSet(left, left_e, right, right_e, theta, nullptr,
-                           nullptr);
-}
-
-FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
-                             const rdf::Dataset& right, rdf::EntityId right_e,
-                             double theta, const ValueCache* left_values,
-                             const ValueCache* right_values,
-                             SimilarityMemo* sim_memo,
-                             FeatureScratch* scratch) {
-  const auto& la = left.attributes(left_e);
-  const auto& ra = right.attributes(right_e);
-  if (la.empty() || ra.empty()) return {};
-
-  FeatureScratch local;
-  FeatureScratch& s = scratch != nullptr ? *scratch : local;
-
-  // Cell scorer. With both caches the values are indexed directly (no
-  // per-call pointer gathering), and numeric/date cells take their cheap
-  // arithmetic paths before touching the memo — both produce the exact
-  // doubles of sim::ValueSimilarity, whose dispatch they mirror.
-  const bool direct = left_values != nullptr && right_values != nullptr;
-  std::vector<sim::TypedValue> lv_owned;
-  std::vector<sim::TypedValue> rv_owned;
-  if (!direct) {
-    GatherValues(left, la, left_values, &s.lv, &s.lp, &lv_owned);
-    GatherValues(right, ra, right_values, &s.rv, &s.rp, &rv_owned);
-  }
-  auto score_cell = [&](size_t li, size_t rj) {
-    if (direct) {
-      const rdf::TermId lt = la[li].object;
-      const rdf::TermId rt = ra[rj].object;
-      const sim::TypedValue& a = left_values->value(lt);
-      const sim::TypedValue& b = right_values->value(rt);
-      if (a.is_numeric() && b.is_numeric()) {
-        return sim::NumericSimilarity(a.real, b.real);
-      }
-      if (a.kind == sim::ValueKind::kDate && b.kind == sim::ValueKind::kDate) {
-        return sim::DateSimilarity(a.date_days, b.date_days);
-      }
-      const sim::StringProfile* pa = &left_values->profile(lt);
-      const sim::StringProfile* pb = &right_values->profile(rt);
-      return sim_memo != nullptr ? sim_memo->Score(lt, rt, a, b, pa, pb)
-                                 : sim::ValueSimilarity(a, b, pa, pb);
-    }
-    return sim_memo != nullptr
-               ? sim_memo->Score(la[li].object, ra[rj].object, *s.lv[li],
-                                 *s.rv[rj], s.lp[li], s.rp[rj])
-               : sim::ValueSimilarity(*s.lv[li], *s.rv[rj], s.lp[li],
-                                      s.rp[rj]);
-  };
-
-  // Similarity matrix, reduced along the larger dimension (Section 4.1):
-  // per left attribute if the left entity has more attributes, else per
-  // right attribute, keeping the best-matching opposite attribute.
-  FeatureSet& raw = s.raw;
-  raw.clear();
+/// Reduces the similarity matrix between `la` and `ra` to a feature set
+/// (Section 4.1): per left attribute if the left entity has more
+/// attributes, else per right attribute, keeping the best-matching
+/// opposite attribute and dropping maxima below `theta`. `score_cell(li,
+/// rj)` scores one cell; `raw` is scratch, overwritten.
+template <typename ScoreCell>
+FeatureSet ReduceSimilarityMatrix(const std::vector<rdf::Attribute>& la,
+                                  const std::vector<rdf::Attribute>& ra,
+                                  double theta, ScoreCell score_cell,
+                                  FeatureSet* raw) {
+  raw->clear();
   const bool reduce_rows = la.size() >= ra.size();
   const size_t outer = reduce_rows ? la.size() : ra.size();
   const size_t inner = reduce_rows ? ra.size() : la.size();
@@ -121,21 +38,69 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
     if (best < theta) continue;
     const size_t li = reduce_rows ? i : best_j;
     const size_t rj = reduce_rows ? best_j : i;
-    raw.push_back(FeatureValue{
+    raw->push_back(FeatureValue{
         MakeFeatureKey(la[li].predicate, ra[rj].predicate), best});
   }
 
   // Deduplicate by feature key, keeping the maximum score (an entity can
   // carry several values for the same predicate).
-  std::sort(raw.begin(), raw.end(), [](const FeatureValue& a,
-                                       const FeatureValue& b) {
+  std::sort(raw->begin(), raw->end(), [](const FeatureValue& a,
+                                         const FeatureValue& b) {
     return a.key != b.key ? a.key < b.key : a.score > b.score;
   });
   FeatureSet out;
-  for (const FeatureValue& f : raw) {
+  for (const FeatureValue& f : *raw) {
     if (out.empty() || out.back().key != f.key) out.push_back(f);
   }
   return out;
+}
+
+std::vector<sim::TypedValue> ParseValues(
+    const rdf::Dataset& ds, const std::vector<rdf::Attribute>& as) {
+  std::vector<sim::TypedValue> values;
+  values.reserve(as.size());
+  for (const rdf::Attribute& a : as) {
+    values.push_back(sim::ParseValue(ds.dict().term(a.object)));
+  }
+  return values;
+}
+
+}  // namespace
+
+FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
+                             const rdf::Dataset& right, rdf::EntityId right_e,
+                             double theta) {
+  const auto& la = left.attributes(left_e);
+  const auto& ra = right.attributes(right_e);
+  if (la.empty() || ra.empty()) return {};
+  const std::vector<sim::TypedValue> lv = ParseValues(left, la);
+  const std::vector<sim::TypedValue> rv = ParseValues(right, ra);
+  FeatureSet raw;
+  return ReduceSimilarityMatrix(
+      la, ra, theta,
+      [&](size_t li, size_t rj) { return sim::ValueSimilarity(lv[li], rv[rj]); },
+      &raw);
+}
+
+FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
+                             const rdf::Dataset& right, rdf::EntityId right_e,
+                             double theta, const ValueCache& left_values,
+                             const ValueCache& right_values,
+                             FeatureScratch* scratch) {
+  const auto& la = left.attributes(left_e);
+  const auto& ra = right.attributes(right_e);
+  if (la.empty() || ra.empty()) return {};
+  return ReduceSimilarityMatrix(
+      la, ra, theta,
+      [&](size_t li, size_t rj) {
+        const rdf::TermId lt = la[li].object;
+        const rdf::TermId rt = ra[rj].object;
+        return sim::ValueSimilarity(left_values.value(lt),
+                                    right_values.value(rt),
+                                    &left_values.profile(lt),
+                                    &right_values.profile(rt));
+      },
+      &scratch->raw);
 }
 
 std::string FeatureName(const rdf::Dataset& left, const rdf::Dataset& right,

@@ -39,14 +39,11 @@ struct FeatureValue {
 /// maxima otherwise). Sorted by key; one entry per distinct attribute pair.
 using FeatureSet = std::vector<FeatureValue>;
 
-/// Reusable buffers for ComputeFeatureSet. A link-space build scores
-/// hundreds of thousands of candidate pairs; without a scratch every call
-/// allocates its value/profile pointer arrays and raw-feature vector anew,
-/// and those allocations are a measurable share of build time. One scratch
-/// per (single-threaded) build loop; contents are overwritten per call.
+/// Reusable buffer for the cached ComputeFeatureSet. A link-space build
+/// scores hundreds of thousands of candidate pairs; without a scratch every
+/// call allocates its raw-feature vector anew. One scratch per
+/// (single-threaded) build loop; contents are overwritten per call.
 struct FeatureScratch {
-  std::vector<const sim::TypedValue*> lv, rv;
-  std::vector<const sim::StringProfile*> lp, rp;
   FeatureSet raw;
 };
 
@@ -58,19 +55,16 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
                              const rdf::Dataset& right, rdf::EntityId right_e,
                              double theta);
 
-/// Cache-aware variant: attribute values are taken from the per-dataset
-/// ValueCaches instead of being re-parsed per candidate pair, and — when
-/// `sim_memo` is non-null — similarity scores are memoized per (left term,
-/// right term) pair across calls, which is where the bulk of build time
-/// goes (the same value pair recurs across many candidate entity pairs).
-/// Either cache may be nullptr to fall back to direct parsing for that
-/// side. The cached and uncached paths produce identical feature sets.
+/// Cache-aware variant used by the link-space build: attribute values and
+/// their string profiles come from the per-dataset ValueCaches instead of
+/// being re-parsed per candidate pair, and every similarity-matrix cell
+/// runs the profile-accelerated sim::ValueSimilarity. Produces the same
+/// feature sets as the uncached overload above.
 FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
                              const rdf::Dataset& right, rdf::EntityId right_e,
-                             double theta, const ValueCache* left_values,
-                             const ValueCache* right_values,
-                             SimilarityMemo* sim_memo = nullptr,
-                             FeatureScratch* scratch = nullptr);
+                             double theta, const ValueCache& left_values,
+                             const ValueCache& right_values,
+                             FeatureScratch* scratch);
 
 /// Human-readable feature name, e.g. "(name, label)".
 std::string FeatureName(const rdf::Dataset& left, const rdf::Dataset& right,

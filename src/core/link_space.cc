@@ -26,10 +26,6 @@ struct SpaceMetrics {
       obs::MetricsRegistry::Global().counter("space.pairs_evaluated");
   obs::Counter& pairs_kept =
       obs::MetricsRegistry::Global().counter("space.pairs_kept");
-  obs::Counter& memo_hits =
-      obs::MetricsRegistry::Global().counter("space.sim_memo_hits");
-  obs::Counter& memo_misses =
-      obs::MetricsRegistry::Global().counter("space.sim_memo_misses");
   obs::Histogram& build_seconds =
       obs::MetricsRegistry::Global().histogram("space.build_seconds");
 
@@ -96,9 +92,9 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
   // lefts with the key| × |right block|), so this pass stays local; only
   // the right-side inversion is shared.
   //
-  // The count map, evaluated-pair set, and similarity memo are the build's
-  // allocation churn (millions of node/table allocations that all die when
-  // this function returns); with an arena they become pointer bumps. Same
+  // The count map and evaluated-pair set are the build's allocation churn
+  // (millions of node/table allocations that all die when this function
+  // returns); with an arena they become pointer bumps. Same
   // container types either way — a null arena in ArenaStl is the global
   // allocator — so both paths run literally the same code.
   std::unordered_map<BlockKey, size_t, std::hash<BlockKey>,
@@ -116,13 +112,7 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
   const uint64_t effective_cap =
       EffectiveBlockCap(stats_.total_possible, max_block_pairs);
 
-  // Term-pair similarity memo and feature scratch, owned by this
-  // (single-threaded) partition build: the same attribute-value pair recurs
-  // across many candidate entity pairs, and the string metrics behind
-  // ValueSimilarity are the dominant build cost.
-  SimilarityMemo sim_memo(arena);
   FeatureScratch scratch;
-
   std::unordered_set<PairKey, std::hash<PairKey>, std::equal_to<PairKey>,
                      exec::ArenaStl<PairKey>>
       evaluated(/*bucket_count=*/0, std::hash<PairKey>(),
@@ -140,8 +130,8 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
         if (!evaluated.insert(pair).second) continue;
         KeepIfNonEmpty(pair,
                        ComputeFeatureSet(left, l, right, r, theta,
-                                         res.left_values, res.right_values,
-                                         &sim_memo, &scratch));
+                                         *res.left_values, *res.right_values,
+                                         &scratch));
       }
     }
   }
@@ -149,8 +139,6 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
   FinalizeFeatureIndex();
   metrics.pairs_evaluated.Add(stats_.candidate_pairs);
   metrics.pairs_kept.Add(stats_.kept_pairs);
-  metrics.memo_hits.Add(sim_memo.hits());
-  metrics.memo_misses.Add(sim_memo.misses());
 }
 
 void LinkSpace::Build(const Dataset& left, const Dataset& right,

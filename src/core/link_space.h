@@ -7,6 +7,7 @@
 
 #include "core/blocking.h"
 #include "core/feature.h"
+#include "exec/arena.h"
 #include "feedback/ground_truth.h"
 #include "rdf/dataset.h"
 
@@ -57,11 +58,11 @@ class LinkSpace {
   /// LinkSpace.
   ///
   /// With a non-null `arena`, the build-phase temporaries (per-key block
-  /// count map, evaluated-pair set, similarity-memo table) bump-allocate
-  /// from it instead of the global allocator; the arena is scratch only —
-  /// nothing in the finished LinkSpace points into it, so the caller frees
-  /// or resets it as soon as Build returns. The arena and non-arena paths
-  /// produce bit-identical spaces.
+  /// count map, evaluated-pair set) bump-allocate from it instead of the
+  /// global allocator; the arena is scratch only — nothing in the finished
+  /// LinkSpace points into it, so the caller frees or resets it as soon as
+  /// Build returns. The arena and non-arena paths produce bit-identical
+  /// spaces.
   void Build(const rdf::Dataset& left, const rdf::Dataset& right,
              const std::vector<rdf::EntityId>& left_entities, double theta,
              size_t max_block_pairs, const BuildResources& res,

@@ -97,7 +97,7 @@ std::vector<double> PartitionedAlex::Build() {
 
   // Phase 2: per-partition builds, all borrowing the shared resources.
   // ParallelFor's chunk-index affinity hint homes partition p on worker
-  // p % workers, so the partition's blocking scratch, memo, and candidate
+  // p % workers, so the partition's blocking scratch and candidate
   // vectors are (stealing aside) touched by one core. Each partition gets
   // its own arena for the build temporaries — created here and dropped as
   // soon as its build finishes, since the LinkSpace keeps nothing in it.
@@ -170,31 +170,6 @@ EngineEpisodeStats PartitionedAlex::EndEpisode() {
   return total;
 }
 
-namespace {
-
-// CandidateVector's canonical order is partition-major (sorted only within
-// each partition), so both snapshots are re-sorted globally before the set
-// differences.
-void DiffCandidates(std::vector<PairKey> before, std::vector<PairKey> after,
-                    PartitionedAlex::EpisodeCommit* commit) {
-  std::sort(before.begin(), before.end());
-  std::sort(after.begin(), after.end());
-  std::set_difference(after.begin(), after.end(), before.begin(),
-                      before.end(), std::back_inserter(commit->added));
-  std::set_difference(before.begin(), before.end(), after.begin(),
-                      after.end(), std::back_inserter(commit->removed));
-}
-
-}  // namespace
-
-PartitionedAlex::EpisodeCommit PartitionedAlex::EndEpisodeWithDelta() {
-  std::vector<PairKey> before = CandidateVector();
-  EpisodeCommit commit;
-  commit.stats = EndEpisode();
-  DiffCandidates(std::move(before), CandidateVector(), &commit);
-  return commit;
-}
-
 PartitionedAlex::EpisodeCommit PartitionedAlex::CommitFeedbackBatch(
     const std::vector<feedback::FeedbackItem>& items) {
   // The window opens BEFORE feedback routing: ProcessFeedback mutates the
@@ -204,7 +179,16 @@ PartitionedAlex::EpisodeCommit PartitionedAlex::CommitFeedbackBatch(
   ProcessFeedbackBatch(items);
   EpisodeCommit commit;
   commit.stats = EndEpisode();
-  DiffCandidates(std::move(before), CandidateVector(), &commit);
+  std::vector<PairKey> after = CandidateVector();
+  // CandidateVector's canonical order is partition-major (sorted only
+  // within each partition), so both snapshots are re-sorted globally
+  // before the set differences.
+  std::sort(before.begin(), before.end());
+  std::sort(after.begin(), after.end());
+  std::set_difference(after.begin(), after.end(), before.begin(),
+                      before.end(), std::back_inserter(commit.added));
+  std::set_difference(before.begin(), before.end(), after.begin(),
+                      after.end(), std::back_inserter(commit.removed));
   return commit;
 }
 

@@ -63,10 +63,6 @@ class PartitionedAlex {
     std::vector<PairKey> removed;
   };
 
-  /// EndEpisode() with the delta of the episode-end step alone (policy
-  /// improvement; feedback already routed).
-  EpisodeCommit EndEpisodeWithDelta();
-
   /// One full service episode: routes `items` through the partitions, ends
   /// the episode, and returns the delta across BOTH steps — feedback
   /// processing mutates candidates directly (removal on rejection,

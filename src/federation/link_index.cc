@@ -144,17 +144,8 @@ Status LinkIndex::LoadState(BinaryReader* r) {
   // Counts are checked against the bytes left before anything is sized
   // from them: an IRI takes at least its 8-byte length, an adjacency key
   // 12 bytes, a target id 4.
-  auto check_count = [r](uint64_t count, size_t min_bytes,
-                         const char* what) -> Status {
-    if (count > r->remaining() / min_bytes) {
-      return Status::ParseError("link index: " + std::to_string(count) + " " +
-                                what + " exceed the payload");
-    }
-    return Status::OK();
-  };
   uint64_t num_iris = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&num_iris));
-  ALEX_RETURN_NOT_OK(check_count(num_iris, 8, "IRIs"));
+  ALEX_RETURN_NOT_OK(r->ReadCount(8, "IRIs", &num_iris));
   std::deque<rdf::Term> terms;
   std::unordered_map<std::string, IriId> ids;
   ids.reserve(num_iris);
@@ -170,12 +161,10 @@ Status LinkIndex::LoadState(BinaryReader* r) {
   }
 
   auto read_adjacency =
-      [r, num_iris, &check_count](
-          std::unordered_map<IriId, std::vector<IriId>>* adj,
-          uint64_t* edge_total) -> Status {
+      [r, num_iris](std::unordered_map<IriId, std::vector<IriId>>* adj,
+                    uint64_t* edge_total) -> Status {
     uint64_t keys = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&keys));
-    ALEX_RETURN_NOT_OK(check_count(keys, 12, "adjacency keys"));
+    ALEX_RETURN_NOT_OK(r->ReadCount(12, "adjacency keys", &keys));
     adj->clear();
     adj->reserve(keys);
     for (uint64_t i = 0; i < keys; ++i) {
@@ -186,13 +175,12 @@ Status LinkIndex::LoadState(BinaryReader* r) {
                                   std::to_string(id) + " out of range");
       }
       uint64_t len = 0;
-      ALEX_RETURN_NOT_OK(r->ReadU64(&len));
+      ALEX_RETURN_NOT_OK(r->ReadCount(4, "adjacency targets", &len));
       auto [it, inserted] = adj->try_emplace(id);
       if (!inserted) {
         return Status::ParseError("link index: duplicate adjacency key id " +
                                   std::to_string(id));
       }
-      ALEX_RETURN_NOT_OK(check_count(len, 4, "adjacency targets"));
       std::vector<IriId>& targets = it->second;
       targets.resize(len);
       for (uint64_t j = 0; j < len; ++j) {

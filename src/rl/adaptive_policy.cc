@@ -141,7 +141,7 @@ Status AdaptiveFeaturePolicy::LoadState(BinaryReader* r) {
   for (uint64_t& word : rng_state) ALEX_RETURN_NOT_OK(r->ReadU64(&word));
 
   uint64_t n = 0;
-  ALEX_RETURN_NOT_OK(r->ReadU64(&n));
+  ALEX_RETURN_NOT_OK(r->ReadCount(32, "feature payoffs", &n));
   std::unordered_map<core::FeatureKey, FeaturePayoff> payoffs;
   payoffs.reserve(n);
   for (uint64_t i = 0; i < n; ++i) {

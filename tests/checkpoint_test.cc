@@ -458,6 +458,142 @@ TEST_F(EngineCheckpointTest, AdaptivePolicyEngineRoundTrips) {
 }
 
 // ---------------------------------------------------------------------------
+// Declared counts beyond the payload. Each payload is hand-built and valid
+// up to one count field, which declares 2^62 records: the load must fail
+// with a ParseError before anything is sized from the count, and leave the
+// victim as it was.
+
+constexpr uint64_t kHugeCount = uint64_t{1} << 62;
+
+void WriteRngWords(BinaryWriter* w) {
+  for (uint64_t word = 1; word <= 4; ++word) w->WriteU64(word);
+}
+
+/// A v2 engine payload up to and including `empty_sections` empty counts
+/// (0-4: the five key sets, 5: generators, 6: generated links, 7: negative
+/// counts, 8: link negative counts), ready for the next count field.
+BinaryWriter EnginePrefix(int empty_sections) {
+  BinaryWriter policy;
+  EpsilonGreedyPolicy(0.3, 1).SaveState(&policy);
+  BinaryWriter w;
+  w.WriteBytes(kDefaultPolicyTag);
+  w.WriteBytes(policy.buffer());
+  WriteRngWords(&w);
+  w.WriteU64(0);  // Episodes completed.
+  for (int i = 0; i < empty_sections; ++i) w.WriteU64(0);
+  return w;
+}
+
+/// Loads every payload into `victim`; each must fail as described above.
+template <typename Victim, typename SnapshotFn>
+void ExpectCountsRejected(Victim* victim, SnapshotFn snapshot,
+                          const std::vector<std::string>& payloads) {
+  const std::string before = snapshot(*victim);
+  for (size_t i = 0; i < payloads.size(); ++i) {
+    BinaryReader r(payloads[i]);
+    const Status st = victim->LoadState(&r);
+    EXPECT_EQ(st.code(), StatusCode::kParseError) << "payload " << i << st;
+    EXPECT_NE(st.message().find("exceed the payload"), std::string::npos)
+        << "payload " << i << ": " << st;
+    EXPECT_EQ(snapshot(*victim), before) << "payload " << i;
+  }
+}
+
+std::string PolicyBytes(const Policy& policy) {
+  BinaryWriter w;
+  policy.SaveState(&w);
+  return w.Release();
+}
+
+TEST_F(EngineCheckpointTest, KeySetCountBeyondPayloadRejected) {
+  AlexEngine victim(&space_, config_, 5);
+  victim.InitializeCandidates({PackPair(L(1), R(1))});
+  victim.ProcessFeedback(FeedbackItem{L(1), R(1), true});
+  std::vector<std::string> payloads;
+  for (int set = 0; set < 5; ++set) {
+    BinaryWriter w = EnginePrefix(set);
+    w.WriteU64(kHugeCount);
+    payloads.push_back(w.Release());
+  }
+  ExpectCountsRejected(&victim, Bytes, payloads);
+}
+
+TEST_F(EngineCheckpointTest, EngineTableCountsBeyondPayloadRejected) {
+  AlexEngine victim(&space_, config_, 5);
+  victim.InitializeCandidates({PackPair(L(1), R(1))});
+  victim.ProcessFeedback(FeedbackItem{L(1), R(1), true});
+  std::vector<std::string> payloads;
+  // Generators, generated links, negative counts, link negative counts,
+  // episode states.
+  for (int table = 5; table < 10; ++table) {
+    BinaryWriter w = EnginePrefix(table);
+    w.WriteU64(kHugeCount);
+    payloads.push_back(w.Release());
+  }
+  {  // One generator entry whose state-action list is huge.
+    BinaryWriter w = EnginePrefix(5);
+    w.WriteU64(1);
+    w.WriteU64(PackPair(L(0), R(0)));
+    w.WriteU64(kHugeCount);
+    payloads.push_back(w.Release());
+  }
+  {  // One generated-link entry whose link list is huge.
+    BinaryWriter w = EnginePrefix(6);
+    w.WriteU64(1);
+    w.WriteU64(PackPair(L(0), R(0)));  // State.
+    w.WriteU64(0);                     // Action.
+    w.WriteU64(kHugeCount);
+    payloads.push_back(w.Release());
+  }
+  ExpectCountsRejected(&victim, Bytes, payloads);
+}
+
+TEST_F(EngineCheckpointTest, EpsilonGreedyPolicyCountsBeyondPayloadRejected) {
+  AlexEngine engine(&space_, config_, 17);
+  engine.InitializeCandidates({PackPair(L(0), R(0))});
+  engine.ProcessFeedback(FeedbackItem{L(0), R(0), true});
+  engine.EndEpisode();
+  EpsilonGreedyPolicy victim(0.3, 5);
+  const std::string trained = PolicyBytes(engine.policy());
+  BinaryReader tr(trained);
+  ASSERT_TRUE(victim.LoadState(&tr).ok());
+
+  // Returns, global returns, greedy actions.
+  std::vector<std::string> payloads;
+  for (int table = 0; table < 3; ++table) {
+    BinaryWriter w;
+    w.WriteDouble(0.3);
+    WriteRngWords(&w);
+    for (int i = 0; i < table; ++i) w.WriteU64(0);
+    w.WriteU64(kHugeCount);
+    payloads.push_back(w.Release());
+  }
+  ExpectCountsRejected(&victim, PolicyBytes, payloads);
+}
+
+TEST_F(EngineCheckpointTest, AdaptivePolicyCountBeyondPayloadRejected) {
+  rl::RegisterAdaptiveFeaturePolicy();
+  AlexConfig config = config_;
+  config.policy = "adaptive-feature";
+  AlexEngine engine(&space_, config, 17);
+  engine.InitializeCandidates({PackPair(L(0), R(0))});
+  engine.ProcessFeedback(FeedbackItem{L(0), R(0), true});
+  engine.EndEpisode();
+  rl::AdaptiveFeaturePolicy victim(0.3, 0.5, 5);
+  const std::string trained = PolicyBytes(engine.policy());
+  BinaryReader tr(trained);
+  ASSERT_TRUE(victim.LoadState(&tr).ok());
+
+  BinaryWriter w;
+  EpsilonGreedyPolicy(0.3, 1).SaveState(&w);
+  w.WriteDouble(0.3);
+  w.WriteDouble(0.5);
+  WriteRngWords(&w);
+  w.WriteU64(kHugeCount);  // Feature payoffs.
+  ExpectCountsRejected(&victim, PolicyBytes, {w.Release()});
+}
+
+// ---------------------------------------------------------------------------
 // LinkIndex snapshot.
 
 TEST(LinkIndexCheckpointTest, RoundTripPreservesIdsOrderAndEpoch) {

@@ -153,19 +153,6 @@ TEST_F(PartitionedTest, CommitFeedbackBatchCapturesFeedbackWindowDeltas) {
   // Exploration may add links on positive paths; here both items were
   // negative with no survivors of their state-action, so nothing new.
   EXPECT_EQ(alex.NumCandidates(), 1u);
-
-  // Counter-case: routing the batch first and only then asking for the
-  // episode-end delta misses the feedback-driven removals entirely.
-  PartitionedAlex late(&pair_.left, &pair_.right, config_);
-  late.Build();
-  late.InitializeCandidates(
-      std::vector<feedback::PairKey>{PackPair(0, 0), PackPair(1, 1),
-                                     PackPair(2, 2)});
-  late.ProcessFeedbackBatch({feedback::FeedbackItem{0, 0, false},
-                             feedback::FeedbackItem{1, 1, false}});
-  PartitionedAlex::EpisodeCommit tail = late.EndEpisodeWithDelta();
-  EXPECT_TRUE(tail.removed.empty());
-  EXPECT_EQ(tail.stats.links_removed, 2u);  // Stats still aggregate.
 }
 
 TEST_F(PartitionedTest, ScoredLinkInitialization) {
