@@ -42,7 +42,8 @@ simulation::EpisodeRecord RunWithSeed(
       core::ComputeMetrics(alex.Candidates(), pair.truth).f_measure);
   for (size_t episode = 1; episode <= config.max_episodes; ++episode) {
     for (size_t i = 0; i < config.episode_size; ++i) {
-      auto item = oracle.SampleAndJudge(alex.CandidateVector());
+      auto item = oracle.SampleAndJudge(
+          alex.NumCandidates(), [&](size_t k) { return alex.CandidateAt(k); });
       if (!item) break;
       alex.ProcessFeedback(*item);
     }

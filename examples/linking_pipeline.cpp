@@ -138,7 +138,9 @@ int main(int argc, char** argv) {
     std::unordered_set<feedback::PairKey> previous = alex.Candidates();
     for (size_t episode = 1; episode <= config.max_episodes; ++episode) {
       for (size_t i = 0; i < config.episode_size; ++i) {
-        auto item = oracle.SampleAndJudge(alex.CandidateVector());
+        auto item = oracle.SampleAndJudge(
+            alex.NumCandidates(),
+            [&](size_t k) { return alex.CandidateAt(k); });
         if (!item) break;
         alex.ProcessFeedback(*item);
       }

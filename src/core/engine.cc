@@ -268,25 +268,25 @@ EngineEpisodeStats AlexEngine::EndEpisode() {
 
 namespace {
 
-/// Canonical (sorted) serialization of a PairKey set: equal sets produce
-/// equal bytes whatever their hash tables' insertion histories were.
-void WriteKeySet(BinaryWriter* w, const std::unordered_set<PairKey>& set) {
-  std::vector<PairKey> keys(set.begin(), set.end());
-  std::sort(keys.begin(), keys.end());
-  w->WriteU64(keys.size());
-  for (PairKey key : keys) w->WriteU64(key);
+/// Canonical (ascending) serialization of a PairKey set: equal sets produce
+/// equal bytes whatever their insertion histories were.
+void WriteKeySet(BinaryWriter* w, const SortedKeySet& set) {
+  w->WriteU64(set.size());
+  for (PairKey key : set) w->WriteU64(key);
 }
 
-Status ReadKeySet(BinaryReader* r, std::unordered_set<PairKey>* out) {
+void WriteKeySet(BinaryWriter* w, const std::unordered_set<PairKey>& set) {
+  WriteKeySet(w, SortedKeySet(set.begin(), set.end()));
+}
+
+/// Reads either set type; keys need not be sorted or distinct.
+template <typename KeySet>
+Status ReadKeySet(BinaryReader* r, KeySet* out) {
   uint64_t n = 0;
   ALEX_RETURN_NOT_OK(r->ReadCount(8, "set keys", &n));
-  out->clear();
-  out->reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    PairKey key = 0;
-    ALEX_RETURN_NOT_OK(r->ReadU64(&key));
-    out->insert(key);
-  }
+  std::vector<PairKey> keys(n);
+  for (PairKey& key : keys) ALEX_RETURN_NOT_OK(r->ReadU64(&key));
+  *out = KeySet(keys.begin(), keys.end());
   return Status::OK();
 }
 
@@ -441,8 +441,9 @@ Status AlexEngine::LoadState(BinaryReader* r, uint32_t format_version) {
   uint64_t episodes_completed = 0;
   ALEX_RETURN_NOT_OK(r->ReadU64(&episodes_completed));
 
-  std::unordered_set<PairKey> candidates, blacklist, ever_explored,
-      positively_marked, visited;
+  SortedKeySet candidates;
+  std::unordered_set<PairKey> blacklist, ever_explored, positively_marked,
+      visited;
   ALEX_RETURN_NOT_OK(ReadKeySet(r, &candidates));
   ALEX_RETURN_NOT_OK(ReadKeySet(r, &blacklist));
   ALEX_RETURN_NOT_OK(ReadKeySet(r, &ever_explored));

@@ -10,6 +10,7 @@
 #include "core/config.h"
 #include "core/link_space.h"
 #include "core/policy.h"
+#include "core/sorted_key_set.h"
 #include "feedback/oracle.h"
 
 namespace alex::core {
@@ -54,7 +55,8 @@ class AlexEngine {
   /// stats of the episode just ended.
   EngineEpisodeStats EndEpisode();
 
-  const std::unordered_set<PairKey>& candidates() const { return candidates_; }
+  /// The candidate links, ascending: index k is the k-th smallest key.
+  const SortedKeySet& candidates() const { return candidates_; }
   const LinkSpace& space() const { return *space_; }
   /// The live policy, behind the abstract interface. The concrete type is
   /// chosen by `config.policy` via the PolicyRegistry at construction.
@@ -100,7 +102,7 @@ class AlexEngine {
   ActionPrior selectivity_prior_;
   Rng rng_;
 
-  std::unordered_set<PairKey> candidates_;
+  SortedKeySet candidates_;
   std::unordered_set<PairKey> blacklist_;
   std::unordered_set<PairKey> ever_explored_;
 

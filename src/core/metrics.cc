@@ -4,15 +4,12 @@
 
 namespace alex::core {
 
-LinkSetMetrics ComputeMetrics(
-    const std::unordered_set<feedback::PairKey>& candidates,
-    const feedback::GroundTruth& truth) {
+LinkSetMetrics MetricsFromCounts(size_t correct, size_t candidates,
+                                 size_t ground_truth) {
   LinkSetMetrics m;
-  m.candidates = candidates.size();
-  m.ground_truth = truth.size();
-  for (feedback::PairKey key : candidates) {
-    if (truth.Contains(key)) ++m.correct;
-  }
+  m.correct = correct;
+  m.candidates = candidates;
+  m.ground_truth = ground_truth;
   // Zero denominators (empty candidate set, empty ground truth) leave the
   // affected metric at 0 rather than NaN — but a 0 that means "undefined"
   // is indistinguishable from a 0 that means "all wrong" in a metric
@@ -33,6 +30,13 @@ LinkSetMetrics ComputeMetrics(
     m.f_measure = 2.0 * m.precision * m.recall / (m.precision + m.recall);
   }
   return m;
+}
+
+LinkSetMetrics ComputeMetrics(
+    const std::unordered_set<feedback::PairKey>& candidates,
+    const feedback::GroundTruth& truth) {
+  return ComputeMetrics<std::unordered_set<feedback::PairKey>>(candidates,
+                                                               truth);
 }
 
 }  // namespace alex::core

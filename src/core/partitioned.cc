@@ -1,6 +1,7 @@
 #include "core/partitioned.h"
 
 #include <algorithm>
+#include <cassert>
 #include <iterator>
 
 #include "common/thread_pool.h"
@@ -201,25 +202,25 @@ std::unordered_set<PairKey> PartitionedAlex::Candidates() const {
 }
 
 std::vector<PairKey> PartitionedAlex::CandidateVector() const {
-  // Pre-size one flat vector and let every partition copy its snapshot into
-  // its own disjoint slice concurrently. Left entities are partitioned, so
-  // no pair appears in two slices. Each slice is sorted in the same task:
-  // the result must depend only on the candidate set, not on the hash
-  // sets' insertion history, or a checkpoint-resumed run would feed the
-  // oracle a permuted sequence and diverge from the uninterrupted run.
-  const size_t n = engines_.size();
-  std::vector<size_t> offsets(n + 1, 0);
-  for (size_t p = 0; p < n; ++p) {
-    offsets[p + 1] = offsets[p] + engines_[p]->candidates().size();
+  // Left entities are partitioned, so no pair appears in two slices, and
+  // each engine's set is already ascending.
+  std::vector<PairKey> out;
+  out.reserve(NumCandidates());
+  for (const auto& engine : engines_) {
+    out.insert(out.end(), engine->candidates().begin(),
+               engine->candidates().end());
   }
-  std::vector<PairKey> out(offsets[n]);
-  ParallelFor(pool(), n, [this, &offsets, &out](size_t p) {
-    size_t i = offsets[p];
-    for (PairKey key : engines_[p]->candidates()) out[i++] = key;
-    std::sort(out.begin() + static_cast<ptrdiff_t>(offsets[p]),
-              out.begin() + static_cast<ptrdiff_t>(offsets[p + 1]));
-  });
   return out;
+}
+
+PairKey PartitionedAlex::CandidateAt(size_t k) const {
+  for (const auto& engine : engines_) {
+    const SortedKeySet& slice = engine->candidates();
+    if (k < slice.size()) return slice[k];
+    k -= slice.size();
+  }
+  assert(false && "candidate index out of range");
+  return 0;
 }
 
 size_t PartitionedAlex::NumCandidates() const {

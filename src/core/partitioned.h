@@ -71,15 +71,17 @@ class PartitionedAlex {
   EpisodeCommit CommitFeedbackBatch(
       const std::vector<feedback::FeedbackItem>& items);
 
-  /// Union of all partitions' candidate sets. Per-partition snapshots are
-  /// gathered in parallel on the worker pool.
+  /// Union of all partitions' candidate sets.
   std::unordered_set<PairKey> Candidates() const;
-  /// Same union as a vector in canonical order: partition-major, sorted
+  /// Same union as a vector in canonical order: partition-major, ascending
   /// within each partition. The order is a function of the candidate SET
-  /// only — not of hash-table iteration history — so a checkpoint-restored
-  /// run samples feedback from the exact sequence the uninterrupted run
-  /// would have seen.
+  /// only — not of insertion history — so a checkpoint-restored run samples
+  /// feedback from the exact sequence the uninterrupted run would have
+  /// seen.
   std::vector<PairKey> CandidateVector() const;
+  /// The k-th candidate in canonical order, `CandidateVector()[k]`, without
+  /// building the vector; `k < NumCandidates()`.
+  PairKey CandidateAt(size_t k) const;
   size_t NumCandidates() const;
 
   size_t num_partitions() const { return engines_.size(); }
@@ -123,8 +125,7 @@ class PartitionedAlex {
   std::vector<std::vector<rdf::EntityId>> partition_entities_;
   std::vector<std::unique_ptr<LinkSpace>> spaces_;
   std::vector<std::unique_ptr<AlexEngine>> engines_;
-  /// Lazily created; mutable so const aggregation queries (Candidates and
-  /// friends) can fan out over the pool too.
+  /// Lazily created on first use.
   mutable std::unique_ptr<ThreadPool> pool_;
   double shared_index_seconds_ = 0.0;
 };

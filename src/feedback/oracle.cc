@@ -13,12 +13,4 @@ FeedbackItem Oracle::Judge(rdf::EntityId left, rdf::EntityId right) {
   return item;
 }
 
-std::optional<FeedbackItem> Oracle::SampleAndJudge(
-    const std::vector<PairKey>& candidates) {
-  if (candidates.empty()) return std::nullopt;
-  const PairKey key =
-      candidates[static_cast<size_t>(rng_.UniformInt(candidates.size()))];
-  return Judge(PairLeft(key), PairRight(key));
-}
-
 }  // namespace alex::feedback

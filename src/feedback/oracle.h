@@ -33,10 +33,22 @@ class Oracle {
   /// Judges one candidate link.
   FeedbackItem Judge(rdf::EntityId left, rdf::EntityId right);
 
-  /// Samples one link uniformly from `candidates` and judges it.
-  /// Returns nullopt if `candidates` is empty.
+  /// Samples one link uniformly from a sequence of `count` candidates, of
+  /// which `at(k)` returns the k-th, and judges it: one UniformInt(count)
+  /// draw, then Judge(). Returns nullopt, drawing nothing, if `count` is 0.
+  template <typename KeyAt>
+  std::optional<FeedbackItem> SampleAndJudge(size_t count, const KeyAt& at) {
+    if (count == 0) return std::nullopt;
+    const PairKey key = at(static_cast<size_t>(rng_.UniformInt(count)));
+    return Judge(PairLeft(key), PairRight(key));
+  }
+
+  /// The same over a candidate vector.
   std::optional<FeedbackItem> SampleAndJudge(
-      const std::vector<PairKey>& candidates);
+      const std::vector<PairKey>& candidates) {
+    return SampleAndJudge(candidates.size(),
+                          [&](size_t k) { return candidates[k]; });
+  }
 
   double error_rate() const { return error_rate_; }
 

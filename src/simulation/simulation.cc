@@ -154,8 +154,9 @@ Status RestoreSimulationState(std::string_view payload, uint32_t format_version,
   }
   uint64_t relaxed = 0;
   ALEX_RETURN_NOT_OK(r.ReadU64(&relaxed));
+  // Minimum record size: 14 fixed 8-byte fields.
   uint64_t num_records = 0;
-  ALEX_RETURN_NOT_OK(r.ReadU64(&num_records));
+  ALEX_RETURN_NOT_OK(r.ReadCount(14 * 8, "episode records", &num_records));
   if (num_records != boundary + 1) {
     return Status::ParseError("checkpoint episode series length " +
                               std::to_string(num_records) +
@@ -391,8 +392,8 @@ RunResult Simulation::Run() {
         // The candidate set evolves within the episode (actions add links,
         // negative feedback removes them), so re-sample from the live set:
         // newly discovered links can receive feedback in the same episode.
-        const std::vector<PairKey> candidates = alex.CandidateVector();
-        auto item = oracle.SampleAndJudge(candidates);
+        auto item = oracle.SampleAndJudge(
+            alex.NumCandidates(), [&](size_t k) { return alex.CandidateAt(k); });
         if (!item.has_value()) break;
         alex.ProcessFeedback(*item);
       }

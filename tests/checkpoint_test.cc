@@ -809,6 +809,38 @@ TEST(SimulationCheckpointTest, ForeignLinkerTagRejectedOnResume) {
   EXPECT_EQ(result.episodes.size(), 1u);
 }
 
+TEST(SimulationCheckpointTest, EpisodeCountBeyondPayloadRejected) {
+  const std::string dir = ScratchDir("sim_huge_series");
+  const simulation::SimulationConfig config = SmallConfig();
+
+  // A well-formed container whose payload claims 2^62 + 1 episode records
+  // (consistent with its boundary episode) but carries none.
+  const uint64_t boundary = uint64_t{1} << 62;
+  BinaryWriter w;
+  w.WriteBytes(paris::kParisLinkerTag);
+  w.WriteU64(boundary);
+  for (uint64_t word : Rng(0).SaveState()) w.WriteU64(word);
+  w.WriteDouble(config.feedback_error_rate);
+  w.WriteU64(config.oracle_seed);
+  w.WriteU64(0);  // relaxed_episode
+  w.WriteU64(boundary + 1);
+  const std::string path = dir + "/huge.alexckpt";
+  std::ofstream(path, std::ios::binary)
+      << WrapPayload(PayloadKind::kSimulation,
+                     ConfigFingerprint(config.alex), w.buffer());
+
+  simulation::SimulationConfig res_config = config;
+  res_config.resume_from = path;
+  const simulation::RunResult result =
+      simulation::Simulation(res_config).Run();
+  EXPECT_EQ(result.resume_error.code(), StatusCode::kParseError)
+      << result.resume_error;
+  EXPECT_EQ(result.resumed_from_episode, 0u);
+  EXPECT_EQ(result.relaxed_episode, 0u);
+  ASSERT_EQ(result.episodes.size(), 1u);
+  EXPECT_EQ(result.episodes[0].episode, 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Backward compatibility: a committed format-v1 checkpoint (written before
 // the pluggable linker/policy refactor) must still resume, and the resumed

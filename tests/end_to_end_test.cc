@@ -49,7 +49,8 @@ TEST(EndToEndTest, PipelineImprovesLinkQuality) {
   feedback::Oracle oracle(&pair.truth, 0.0, 17);
   for (size_t episode = 0; episode < config.max_episodes; ++episode) {
     for (size_t i = 0; i < config.episode_size; ++i) {
-      auto item = oracle.SampleAndJudge(alex.CandidateVector());
+      auto item = oracle.SampleAndJudge(
+          alex.NumCandidates(), [&](size_t k) { return alex.CandidateAt(k); });
       if (!item) break;
       alex.ProcessFeedback(*item);
     }

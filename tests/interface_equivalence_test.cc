@@ -74,8 +74,8 @@ Digests RunOne(uint64_t seed, size_t partitions, const std::string& policy) {
   Digests d;
   for (size_t episode = 1; episode <= cfg.max_episodes; ++episode) {
     for (size_t i = 0; i < cfg.episode_size; ++i) {
-      const std::vector<feedback::PairKey> candidates = alex.CandidateVector();
-      auto item = oracle.SampleAndJudge(candidates);
+      auto item = oracle.SampleAndJudge(
+          alex.NumCandidates(), [&](size_t k) { return alex.CandidateAt(k); });
       if (!item.has_value()) break;
       alex.ProcessFeedback(*item);
     }
