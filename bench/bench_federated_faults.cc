@@ -84,8 +84,11 @@ ScenarioResult RunScenario(const std::string& name,
   // 50ms of client think time between queries: enough inter-arrival gap for
   // breaker cooldowns to elapse, so flaky scenarios show trip/recover cycles
   // instead of freezing open after the first trip.
-  result.stats = simulation::ExecuteFederatedWorkload(
-      engine, workload, &clock, /*think_seconds=*/0.05);
+  simulation::WorkloadExecOptions options;
+  options.clock = &clock;
+  options.think_seconds = 0.05;
+  result.stats =
+      simulation::ExecuteFederatedWorkload(engine, workload, options);
   result.virtual_seconds = clock.NowSeconds() - start;
   result.delta = obs::MetricsRegistry::Global().Snapshot().DeltaSince(before);
   return result;

@@ -39,46 +39,6 @@ inline size_t ParseUintArg(int argc, char** argv, int index,
   return static_cast<size_t>(*value);
 }
 
-/// Builds the default simulation configuration for a named figure run.
-inline simulation::SimulationConfig MakeConfig(
-    const datagen::ScenarioConfig& scenario, size_t episode_size) {
-  simulation::SimulationConfig config;
-  config.scenario = scenario;
-  config.alex.episode_size = episode_size;
-  return config;
-}
-
-/// Prints one run in the layout of the paper's quality figures: one row per
-/// episode with the precision / recall / F-measure series, plus the
-/// convergence markers the figures annotate.
-inline void PrintQualityFigure(const char* title,
-                               const simulation::RunResult& result) {
-  std::printf("\n=== %s ===\n", title);
-  std::printf("%8s %10s %8s %10s\n", "episode", "precision", "recall",
-              "f-measure");
-  if (result.episodes.empty()) {
-    // A zero-episode run (nothing generated / nothing linked) has no series
-    // and no final metrics; say so instead of dereferencing episodes.back().
-    std::printf("%8s\n", "(no episodes)");
-    std::printf(
-        "relaxed_convergence(<5%% change)=%zu strict_convergence=%zu "
-        "ground_truth=0 initial_links=%zu new_links_discovered=%zu\n",
-        result.relaxed_episode, result.converged_episode, result.initial_links,
-        result.new_links_discovered);
-    return;
-  }
-  for (const auto& r : result.episodes) {
-    std::printf("%8zu %10.3f %8.3f %10.3f\n", r.episode, r.metrics.precision,
-                r.metrics.recall, r.metrics.f_measure);
-  }
-  std::printf(
-      "relaxed_convergence(<5%% change)=%zu strict_convergence=%zu "
-      "ground_truth=%zu initial_links=%zu new_links_discovered=%zu\n",
-      result.relaxed_episode, result.converged_episode,
-      result.episodes.back().metrics.ground_truth, result.initial_links,
-      result.new_links_discovered);
-}
-
 /// Prints several runs' series for one metric side by side (episode rows,
 /// one column per run), as the comparison figures do.
 inline void PrintComparisonFigure(

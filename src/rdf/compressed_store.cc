@@ -380,6 +380,15 @@ Result<CompressedTripleStore> CompressedTripleStore::OpenFile(
           ": have " + std::to_string(num_blocks) + ", expect " +
           std::to_string(expected_blocks));
     }
+    // Both counts come from the header: bound the table by the bytes left
+    // in the file before allocating it, so a forged count cannot ask for
+    // terabytes (or overflow the multiplication).
+    const uint64_t bytes_left = file_size - static_cast<uint64_t>(file.tellg());
+    if (num_blocks > bytes_left / kMetaBytes) {
+      return Status::ParseError("fence table for ordering " +
+                                std::to_string(oi) + " exceeds the file: " +
+                                std::to_string(num_blocks) + " blocks");
+    }
     std::string table(static_cast<size_t>(num_blocks) * kMetaBytes, '\0');
     file.read(table.data(), static_cast<std::streamsize>(table.size()));
     if (file.gcount() != static_cast<std::streamsize>(table.size())) {

@@ -107,16 +107,6 @@ WorkloadRunStats ExecuteFederatedWorkload(const fed::FederatedEngine& engine,
   return stats;
 }
 
-WorkloadRunStats ExecuteFederatedWorkload(const fed::FederatedEngine& engine,
-                                          const FederatedWorkload& workload,
-                                          Clock* clock,
-                                          double think_seconds) {
-  WorkloadExecOptions options;
-  options.clock = clock;
-  options.think_seconds = think_seconds;
-  return ExecuteFederatedWorkload(engine, workload, options);
-}
-
 fed::LinkIndex LinksFromPairs(
     const datagen::GeneratedPair& pair,
     const std::vector<feedback::PairKey>& pair_keys) {

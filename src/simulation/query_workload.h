@@ -77,13 +77,7 @@ struct WorkloadExecOptions {
 /// (fed.plan_cache_hits counts the repeats) instead of once per call.
 WorkloadRunStats ExecuteFederatedWorkload(
     const fed::FederatedEngine& engine, const FederatedWorkload& workload,
-    const WorkloadExecOptions& options);
-
-/// Back-compat sequential overload.
-WorkloadRunStats ExecuteFederatedWorkload(const fed::FederatedEngine& engine,
-                                          const FederatedWorkload& workload,
-                                          Clock* clock = nullptr,
-                                          double think_seconds = 0.0);
+    const WorkloadExecOptions& options = {});
 
 }  // namespace alex::simulation
 

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/binary_io.h"
 #include "common/rng.h"
 #include "datagen/generator.h"
 #include "obs/metrics.h"
@@ -290,6 +291,25 @@ TEST(CompressedStoreTest, OpenRejectsCorruptFenceCount) {
     ASSERT_FALSE(opened.ok()) << "count=" << bad;
     EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
   }
+  std::remove(path.c_str());
+}
+
+TEST(CompressedStoreTest, OpenRejectsFenceTableBeyondFile) {
+  // A 32-byte hand-built header whose block count agrees with its triple
+  // count but whose fence table (2^40 entries) cannot fit in the file.
+  const uint64_t kHuge = uint64_t{1} << 40;
+  BinaryWriter header;
+  header.WriteRaw("ALEXBLK1");
+  header.WriteU32(1);  // Format version.
+  header.WriteU32(1);  // Block size.
+  header.WriteU64(kHuge);  // Triples.
+  header.WriteU64(kHuge);  // Blocks in the first ordering.
+  ASSERT_EQ(header.buffer().size(), 32u);
+  const std::string path = TempPath("hugefence.blocks");
+  WriteFileBytes(path, header.buffer());
+  auto opened = CompressedTripleStore::OpenFile(path);
+  ASSERT_FALSE(opened.ok());
+  EXPECT_EQ(opened.status().code(), StatusCode::kParseError);
   std::remove(path.c_str());
 }
 
