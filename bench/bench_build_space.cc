@@ -1,13 +1,14 @@
 // Build-phase bench: measures link-space construction wall time and
-// candidate counts at 1/2/4/8 partitions, each unpinned and with workers
-// pinned 1:1 to CPUs. Every configuration's finished spaces are digested
-// (pairs, feature keys, feature score bits, partition by partition) and the
-// two pinning settings must agree exactly at each partition count —
-// pinning is a performance lever, never a semantic one — or the bench
-// exits 1. The detected topology (cores, NUMA nodes, whether affinity
-// syscalls work) is embedded in the JSON so a 1-core CI run is
-// distinguishable from a real multi-core measurement. One extra traced
-// 4-partition build is written as bench_build_space.trace.json.
+// candidate counts at 1/2/4/8 partitions, each on one worker and on
+// CpuTopology::RecommendedWorkers() workers (AlexConfig::num_threads; the
+// pool never exceeds the partition count). Every configuration's finished
+// spaces are digested (pairs, feature keys, feature score bits, partition
+// by partition) and the two worker counts must agree exactly at each
+// partition count — the build is invariant to the thread count — or the
+// bench exits 1. The number of allowed CPUs is embedded in the JSON so a
+// 1-core CI run is distinguishable from a real multi-core measurement. One
+// extra traced 4-partition build is written as
+// bench_build_space.trace.json.
 //
 // Usage: bench_build_space [scenario_name] [reps]   (defaults:
 // dbpedia_nytimes — the paper's batch-mode scenario of Figures 2a and 5 —
@@ -32,7 +33,7 @@ namespace {
 
 struct RunRecord {
   size_t partitions = 0;
-  bool pinned = false;
+  size_t workers = 0;
   double total_seconds = 0.0;
   double max_partition_seconds = 0.0;
   double shared_index_seconds = 0.0;
@@ -71,16 +72,16 @@ uint64_t DigestSpaces(const alex::core::PartitionedAlex& alex) {
 }
 
 RunRecord MeasureBuild(const alex::datagen::GeneratedPair& pair,
-                       size_t partitions, bool pinned, size_t reps) {
+                       size_t partitions, size_t workers, size_t reps) {
   // Builds are deterministic; wall-time noise is scheduler/load. Min-of-N
   // is the standard way to report the build's actual cost.
   RunRecord record;
   record.partitions = partitions;
-  record.pinned = pinned;
+  record.workers = workers;
   for (size_t rep = 0; rep < reps; ++rep) {
     alex::core::AlexConfig config;
     config.num_partitions = partitions;
-    config.pin_threads = pinned;
+    config.num_threads = workers;
     alex::core::PartitionedAlex alex(&pair.left, &pair.right, config);
     alex::Stopwatch watch;
     const std::vector<double> seconds = alex.Build();
@@ -103,11 +104,11 @@ RunRecord MeasureBuild(const alex::datagen::GeneratedPair& pair,
 
 void PrintRecord(const RunRecord& r, bool last) {
   std::printf(
-      "    {\"partitions\": %zu, \"pinned\": %s, \"total_seconds\": %.4f, "
+      "    {\"partitions\": %zu, \"workers\": %zu, \"total_seconds\": %.4f, "
       "\"max_partition_seconds\": %.4f, \"shared_index_seconds\": %.4f, "
       "\"candidate_pairs\": %llu, \"kept_pairs\": %llu, "
       "\"features_indexed\": %llu, \"digest\": \"%016llx\"}%s\n",
-      r.partitions, r.pinned ? "true" : "false", r.total_seconds,
+      r.partitions, r.workers, r.total_seconds,
       r.max_partition_seconds, r.shared_index_seconds,
       static_cast<unsigned long long>(r.stats.candidate_pairs),
       static_cast<unsigned long long>(r.stats.kept_pairs),
@@ -133,35 +134,35 @@ int main(int argc, char** argv) {
   const datagen::GeneratedPair pair = datagen::GenerateScenario(scenario);
   telemetry.AddPhase("generate", generate_watch.ElapsedSeconds());
 
-  // Unpinned first at each partition count, so the speedup denominator
+  // One worker first at each partition count, so the speedup denominator
   // comes from the same sweep. The sidecar phase records the full wall
   // time of each partition count (all reps), so the phases stay disjoint
   // and sum to ~the bench wall.
+  const exec::CpuTopology& topo = exec::CpuTopology::Detect();
   const std::vector<size_t> partition_counts = {1, 2, 4, 8};
   std::vector<RunRecord> runs;
   bool equivalent = true;
   for (size_t partitions : partition_counts) {
     Stopwatch watch;
-    const RunRecord unpinned =
-        MeasureBuild(pair, partitions, /*pinned=*/false, reps);
-    const RunRecord pinned =
-        MeasureBuild(pair, partitions, /*pinned=*/true, reps);
-    if (pinned.digest != unpinned.digest) {
+    const RunRecord single = MeasureBuild(pair, partitions, 1, reps);
+    const RunRecord multi =
+        MeasureBuild(pair, partitions, topo.RecommendedWorkers(), reps);
+    if (multi.digest != single.digest) {
       equivalent = false;
       std::fprintf(stderr,
-                   "digest mismatch at %zu partitions: pinned produced "
-                   "%016llx, unpinned produced %016llx\n",
-                   partitions,
-                   static_cast<unsigned long long>(pinned.digest),
-                   static_cast<unsigned long long>(unpinned.digest));
+                   "digest mismatch at %zu partitions: %zu workers produced "
+                   "%016llx, 1 worker produced %016llx\n",
+                   partitions, multi.workers,
+                   static_cast<unsigned long long>(multi.digest),
+                   static_cast<unsigned long long>(single.digest));
     }
     telemetry.AddPhase("build_p" + std::to_string(partitions),
                        watch.ElapsedSeconds());
     telemetry.AddField(
-        "topology_speedup_pinned_p" + std::to_string(partitions),
-        unpinned.total_seconds / std::max(pinned.total_seconds, 1e-12));
-    runs.push_back(unpinned);
-    runs.push_back(pinned);
+        "speedup_workers_p" + std::to_string(partitions),
+        single.total_seconds / std::max(multi.total_seconds, 1e-12));
+    runs.push_back(single);
+    runs.push_back(multi);
   }
   telemetry.AddField("topology_equivalent",
                      static_cast<uint64_t>(equivalent ? 1 : 0));
@@ -170,11 +171,10 @@ int main(int argc, char** argv) {
   // bench_build_space.trace.json (Chrome trace_event / Perfetto format).
   obs::TraceRecorder::Global().SetEnabled(true);
   Stopwatch traced_watch;
-  MeasureBuild(pair, 4, /*pinned=*/false, /*reps=*/1);
+  MeasureBuild(pair, 4, topo.RecommendedWorkers(), /*reps=*/1);
   telemetry.AddPhase("traced_p4", traced_watch.ElapsedSeconds());
   obs::TraceRecorder::Global().SetEnabled(false);
 
-  const exec::CpuTopology& topo = exec::CpuTopology::Detect();
   std::printf("{\n");
   std::printf("  \"bench\": \"build_space\",\n");
   std::printf("  \"scenario\": \"%s\",\n", scenario.name.c_str());
@@ -182,11 +182,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(scenario.seed));
   std::printf("  \"left_entities\": %zu,\n", pair.left.num_entities());
   std::printf("  \"right_entities\": %zu,\n", pair.right.num_entities());
-  std::printf(
-      "  \"topology\": {\"cores\": %zu, \"nodes\": %zu, "
-      "\"pinning_supported\": %s},\n",
-      topo.num_cpus(), topo.num_nodes(),
-      topo.affinity_supported() ? "true" : "false");
+  std::printf("  \"topology\": {\"cores\": %zu},\n", topo.num_cpus());
   std::printf("  \"topology_runs\": [\n");
   for (size_t i = 0; i < runs.size(); ++i) {
     PrintRecord(runs[i], /*last=*/i + 1 == runs.size());

@@ -42,6 +42,14 @@ SimulationConfig MakeConfig(const dg::ScenarioConfig& scenario,
   return config;
 }
 
+/// The strict-convergence episode as printed: `none` for a run that hit
+/// `max_episodes` without converging (converged_episode == 0).
+std::string StrictConvergence(const RunResult& result) {
+  return result.converged_episode == 0
+             ? "none"
+             : std::to_string(result.converged_episode);
+}
+
 /// Prints one run as the paper's quality figures show it: P/R/F per episode
 /// and the convergence markers the figures annotate.
 void PrintQualityFigure(const char* title, const RunResult& result) {
@@ -56,9 +64,9 @@ void PrintQualityFigure(const char* title, const RunResult& result) {
                 r.metrics.recall, r.metrics.f_measure);
   }
   std::printf(
-      "relaxed_convergence(<5%% change)=%zu strict_convergence=%zu "
+      "relaxed_convergence(<5%% change)=%zu strict_convergence=%s "
       "ground_truth=%zu initial_links=%zu new_links_discovered=%zu\n",
-      result.relaxed_episode, result.converged_episode,
+      result.relaxed_episode, StrictConvergence(result).c_str(),
       result.episodes.empty() ? 0 : result.episodes.back().metrics.ground_truth,
       result.initial_links, result.new_links_discovered);
 }
@@ -457,10 +465,10 @@ std::vector<Figure> PaperFigures() {
                    ExtractNegPercent, 11}},
        .footer = [](const Labels&, const Results& r) {
          std::printf(
-             "\nconvergence: with_blacklist strict=%zu relaxed=%zu | "
-             "without_blacklist strict=%zu relaxed=%zu\n",
-             r[0].converged_episode, r[0].relaxed_episode,
-             r[1].converged_episode, r[1].relaxed_episode);
+             "\nconvergence: with_blacklist strict=%s relaxed=%zu | "
+             "without_blacklist strict=%s relaxed=%zu\n",
+             StrictConvergence(r[0]).c_str(), r[0].relaxed_episode,
+             StrictConvergence(r[1]).c_str(), r[1].relaxed_episode);
        }},
       {.id = "fig7", .custom = Fig7},
       {.id = "sec7_3", .custom = Sec7_3},
@@ -521,8 +529,8 @@ std::vector<Figure> PaperFigures() {
        .footer = [](const Labels& shown, const Results& r) {
          std::printf("\nconvergence episodes (strict / relaxed):\n");
          for (size_t i = 0; i < r.size(); ++i) {
-           std::printf("  %s: strict=%zu relaxed=%zu final_F=%.3f\n",
-                       shown[i].c_str(), r[i].converged_episode,
+           std::printf("  %s: strict=%s relaxed=%zu final_F=%.3f\n",
+                       shown[i].c_str(), StrictConvergence(r[i]).c_str(),
                        r[i].relaxed_episode,
                        r[i].final_episode().metrics.f_measure);
          }
@@ -572,16 +580,11 @@ std::vector<Figure> PaperFigures() {
        .footer = [](const Labels& shown, const Results& r) {
          std::printf("\nfinal F / relaxed convergence:\n");
          for (size_t i = 0; i < r.size(); ++i) {
-           std::printf("  %s: F=%.3f relaxed=%zu strict=%zu\n",
+           std::printf("  %s: F=%.3f relaxed=%zu strict=%s\n",
                        shown[i].c_str(),
                        r[i].final_episode().metrics.f_measure,
-                       r[i].relaxed_episode, r[i].converged_episode);
+                       r[i].relaxed_episode, StrictConvergence(r[i]).c_str());
          }
-         std::printf(
-             "\nA larger penalty steers the policy away from junk-prone "
-             "features sooner (lower negative-feedback share early), at the "
-             "cost of abandoning features whose first few explorations were "
-             "unlucky.\n");
        }},
   };
 }

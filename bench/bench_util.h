@@ -102,14 +102,11 @@ class TelemetrySidecar {
   explicit TelemetrySidecar(std::string bench_name)
       : bench_name_(std::move(bench_name)),
         metrics_before_(obs::MetricsRegistry::Global().Snapshot()) {
-    // Every sidecar records the hardware it ran on: perf numbers from a
+    // Every sidecar records the CPUs it ran on: perf numbers from a
     // 1-core CI runner and a 64-core bare-metal box are not comparable, and
-    // dashboards need to partition by topology to see that.
-    const exec::CpuTopology& topo = exec::CpuTopology::Detect();
-    AddField("topology_cores", static_cast<uint64_t>(topo.num_cpus()));
-    AddField("topology_nodes", static_cast<uint64_t>(topo.num_nodes()));
-    AddField("topology_pinning",
-             static_cast<uint64_t>(topo.affinity_supported() ? 1 : 0));
+    // dashboards need to partition by core count to see that.
+    AddField("topology_cores",
+             static_cast<uint64_t>(exec::CpuTopology::Detect().num_cpus()));
   }
 
   TelemetrySidecar(const TelemetrySidecar&) = delete;

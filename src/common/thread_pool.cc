@@ -4,7 +4,10 @@
 #include <chrono>
 #include <utility>
 
-#include "exec/affinity.h"
+#ifdef __linux__
+#include <pthread.h>
+#endif
+
 #include "obs/metrics.h"
 
 namespace alex {
@@ -27,8 +30,6 @@ struct PoolMetrics {
       "threadpool.task_exceptions");
   obs::Counter& steals = obs::MetricsRegistry::Global().counter(
       "threadpool.steals");
-  obs::Counter& pinned_workers = obs::MetricsRegistry::Global().counter(
-      "threadpool.pinned_workers");
 
   static PoolMetrics& Get() {
     static PoolMetrics* metrics = new PoolMetrics();
@@ -42,43 +43,25 @@ struct PoolMetrics {
 thread_local ThreadPool* tls_pool = nullptr;
 thread_local size_t tls_worker = 0;
 
-}  // namespace
-
-ThreadPool::ThreadPool(size_t num_threads)
-    : ThreadPool(num_threads, Options{}) {}
-
-ThreadPool::ThreadPool(size_t num_threads, const Options& options)
-    : options_(options),
-      topology_(options.topology != nullptr ? *options.topology
-                                            : exec::CpuTopology::Detect()) {
-  Start(num_threads == 0 ? 1 : num_threads);
+/// Best-effort thread naming (shows up in /proc, gdb, perf). Names longer
+/// than the Linux limit of 15 characters are truncated. No-op elsewhere.
+void SetCurrentThreadName(const std::string& name) {
+#ifdef __linux__
+  pthread_setname_np(pthread_self(), name.substr(0, 15).c_str());
+#else
+  (void)name;
+#endif
 }
 
-void ThreadPool::Start(size_t num_threads) {
+}  // namespace
+
+ThreadPool::ThreadPool(size_t num_threads, std::string name_prefix)
+    : name_prefix_(std::move(name_prefix)) {
+  if (num_threads == 0) num_threads = 1;
   queues_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     queues_.push_back(std::make_unique<WorkerQueue>());
   }
-
-  // Steal order: same-node victims first (stolen tasks touch memory that is
-  // at least node-local), then the rest; both groups start at self+1 and
-  // wrap, so concurrent thieves spread over distinct victims.
-  const auto node_of_worker = [this](size_t w) {
-    const std::vector<exec::CpuInfo>& cpus = topology_.cpus();
-    return cpus.empty() ? 0 : cpus[w % cpus.size()].node;
-  };
-  steal_order_.resize(num_threads);
-  for (size_t w = 0; w < num_threads; ++w) {
-    const int home_node = node_of_worker(w);
-    for (int pass = 0; pass < 2; ++pass) {
-      for (size_t k = 1; k < num_threads; ++k) {
-        const size_t victim = (w + k) % num_threads;
-        const bool same_node = node_of_worker(victim) == home_node;
-        if (same_node == (pass == 0)) steal_order_[w].push_back(victim);
-      }
-    }
-  }
-
   workers_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     workers_.emplace_back([this, i] { WorkerLoop(i); });
@@ -162,8 +145,9 @@ bool ThreadPool::TryAcquire(size_t self, QueuedTask* task) {
       return true;
     }
   }
-  for (size_t victim : steal_order_[self]) {
-    WorkerQueue& queue = *queues_[victim];
+  const size_t n = queues_.size();
+  for (size_t k = 1; k < n; ++k) {
+    WorkerQueue& queue = *queues_[(self + k) % n];
     std::lock_guard<std::mutex> lock(queue.mu);
     if (!queue.tasks.empty()) {
       // Steal from the back — the owner pops the front, so thief and owner
@@ -210,18 +194,7 @@ void ThreadPool::RunTask(QueuedTask* task) {
 void ThreadPool::WorkerLoop(size_t self) {
   tls_pool = this;
   tls_worker = self;
-  exec::SetCurrentThreadName(
-      (options_.name_prefix + std::to_string(self)).c_str());
-  if (options_.pin_threads && topology_.affinity_supported() &&
-      !topology_.cpus().empty()) {
-    const int cpu = topology_.cpus()[self % topology_.cpus().size()].cpu;
-    // Best effort by contract: a denied affinity call (container, seccomp)
-    // leaves this worker unpinned and the pool fully functional.
-    if (exec::PinCurrentThreadToCpu(cpu)) {
-      pinned_count_.fetch_add(1, std::memory_order_relaxed);
-      PoolMetrics::Get().pinned_workers.Add(1);
-    }
-  }
+  SetCurrentThreadName(name_prefix_ + std::to_string(self));
 
   for (;;) {
     QueuedTask task;
@@ -245,27 +218,17 @@ void ThreadPool::WorkerLoop(size_t self) {
 
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn) {
-  ParallelFor(pool, n, fn, ParallelForOptions{});
-}
-
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn,
-                 const ParallelForOptions& options) {
   if (n == 0) {
     pool->Wait();
     return;
   }
-  size_t grain = options.grain;
-  if (grain == 0) {
-    // ~8 chunks per worker: dispatch cost amortizes over the grain while
-    // surplus chunks let stealing even out slow ones. Loops with n at or
-    // below 8*workers (e.g. one index per partition) keep grain 1, and the
-    // chunk-index affinity hint below then pins index i to home worker
-    // i % workers on every call.
-    const size_t target_tasks = pool->num_threads() * 8;
-    grain = (n + target_tasks - 1) / target_tasks;
-    if (grain == 0) grain = 1;
-  }
+  // ~8 chunks per worker: dispatch cost amortizes over the grain while
+  // surplus chunks let stealing even out slow ones. Loops with n at or
+  // below 8*workers (e.g. one index per partition) keep grain 1, and the
+  // chunk-index affinity hint below then pins index i to home worker
+  // i % workers on every call.
+  const size_t target_tasks = pool->num_threads() * 8;
+  const size_t grain = (n + target_tasks - 1) / target_tasks;
   const size_t chunks = (n + grain - 1) / grain;
   for (size_t c = 0; c < chunks; ++c) {
     const size_t lo = c * grain;

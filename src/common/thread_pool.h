@@ -14,22 +14,17 @@
 #include <thread>
 #include <vector>
 
-#include "exec/topology.h"
-
 namespace alex {
 
 /// Fixed-size worker pool used to run ALEX partitions in parallel
 /// (Section 6.2 of the paper: equal-size partitions explored independently).
 ///
-/// Hardware-conscious since the exec layer landed: each worker owns its own
-/// task queue (no single-mutex convoy on the dispatch path), idle workers
-/// steal from siblings — same-NUMA-node victims first, so stolen work stays
-/// close to its data — and workers can be pinned 1:1 to the CPUs of the
-/// probed CpuTopology (best effort: a denied affinity syscall degrades to
-/// an unpinned worker, never an error). Submit takes an optional affinity
-/// hint naming the worker whose queue the task should land on; combined
-/// with stealing this is soft locality, not a correctness contract — any
-/// worker may ultimately run any task.
+/// Each worker owns its own task queue (no single-mutex convoy on the
+/// dispatch path) and idle workers steal from siblings, starting at the
+/// next worker index and wrapping. Submit takes an optional affinity hint
+/// naming the worker whose queue the task should land on; combined with
+/// stealing this is soft locality, not a correctness contract — any worker
+/// may ultimately run any task.
 ///
 /// Tasks are void() callables. `Wait()` blocks until every submitted task
 /// (including tasks submitted by tasks) has finished; the destructor drains
@@ -43,22 +38,10 @@ namespace alex {
 /// Remaining tasks still run either way.
 class ThreadPool {
  public:
-  struct Options {
-    /// Pin worker i to the i-th CPU (mod #CPUs) of the topology. Best
-    /// effort: failures (containers, seccomp, non-Linux) leave the worker
-    /// unpinned and are only visible through pinned_workers().
-    bool pin_threads = false;
-    /// Worker thread names: "<name_prefix><worker index>". Keep it short —
-    /// Linux truncates thread names to 15 characters.
-    std::string name_prefix = "alexw";
-    /// Topology to pin against and to derive the steal order from; null
-    /// uses the process-wide exec::CpuTopology::Detect().
-    const exec::CpuTopology* topology = nullptr;
-  };
-
-  /// Creates a pool with `num_threads` workers (at least 1), unpinned.
-  explicit ThreadPool(size_t num_threads);
-  ThreadPool(size_t num_threads, const Options& options);
+  /// Creates a pool with `num_threads` workers (at least 1), named
+  /// "<name_prefix><worker index>". Keep the prefix short — Linux truncates
+  /// thread names to 15 characters.
+  explicit ThreadPool(size_t num_threads, std::string name_prefix = "alexw");
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -82,12 +65,6 @@ class ThreadPool {
 
   size_t num_threads() const { return workers_.size(); }
 
-  /// Workers that were actually pinned (0 when pinning was off or every
-  /// affinity call failed — the degraded-but-running case).
-  size_t pinned_workers() const {
-    return pinned_count_.load(std::memory_order_relaxed);
-  }
-
  private:
   /// A task plus its enqueue time, so the queue-wait latency each task
   /// experienced lands in the `threadpool.task_wait_seconds` histogram.
@@ -104,22 +81,17 @@ class ThreadPool {
     std::deque<QueuedTask> tasks;
   };
 
-  void Start(size_t num_threads);
   void WorkerLoop(size_t self);
-  /// Pops from own queue, else steals (same-node victims first). Decrements
-  /// pending_ on success.
+  /// Pops from own queue, else steals from the workers after `self`, in
+  /// index order with wraparound, so concurrent thieves fan out instead of
+  /// all hammering worker 0's lock. Decrements pending_ on success.
   bool TryAcquire(size_t self, QueuedTask* task);
   void Enqueue(std::function<void()> task, size_t target);
   void RunTask(QueuedTask* task);
 
-  Options options_;
-  exec::CpuTopology topology_;
+  const std::string name_prefix_;
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  /// Per worker: every other worker index, same-node victims first, each
-  /// group rotated by the worker's own index so thieves fan out instead of
-  /// all hammering worker 0's lock.
-  std::vector<std::vector<size_t>> steal_order_;
 
   /// Tasks sitting in queues (not yet picked up). Drives worker sleep.
   std::atomic<size_t> pending_{0};
@@ -130,7 +102,6 @@ class ThreadPool {
   /// with pending_ (a Dekker-style flag handshake, see Enqueue).
   std::atomic<size_t> sleepers_{0};
   std::atomic<size_t> next_queue_{0};
-  std::atomic<size_t> pinned_count_{0};
   std::atomic<bool> shutting_down_{false};
 
   std::mutex sleep_mu_;
@@ -144,26 +115,17 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Chunking control for ParallelFor.
-struct ParallelForOptions {
-  /// Indices per submitted task. 0 = automatic: ceil(n / (8 * workers)),
-  /// so a 100k-index loop costs hundreds of task dispatches instead of
-  /// 100k std::function allocations and queue round-trips, while leaving
-  /// enough surplus tasks for stealing to balance uneven chunks.
-  size_t grain = 0;
-};
-
 /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-/// Indices are chunked per ParallelForOptions; chunk c carries affinity
-/// hint c, so when n is small (e.g. one chunk per partition) index i lands
-/// on the same home worker every call. Exceptions keep task granularity:
-/// a throw abandons the remaining indices of its own chunk only, other
-/// chunks still run, and Wait() rethrows the first error.
+/// Indices are chunked ceil(n / (8 * workers)) per task, so a 100k-index
+/// loop costs hundreds of task dispatches instead of 100k std::function
+/// allocations and queue round-trips, while leaving enough surplus tasks
+/// for stealing to balance uneven chunks. Chunk c carries affinity hint c,
+/// so when n is small (e.g. one chunk per partition) index i lands on the
+/// same home worker every call. Exceptions keep task granularity: a throw
+/// abandons the remaining indices of its own chunk only, other chunks
+/// still run, and Wait() rethrows the first error.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
-void ParallelFor(ThreadPool* pool, size_t n,
-                 const std::function<void(size_t)>& fn,
-                 const ParallelForOptions& options);
 
 }  // namespace alex
 

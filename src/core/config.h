@@ -97,13 +97,6 @@ struct AlexConfig {
   /// is actually allowed, via exec::CpuTopology::RecommendedWorkers()).
   size_t num_threads = 0;
 
-  /// Pin partition workers 1:1 to CPUs (exec layer). Best effort — on
-  /// restricted environments the pool degrades to unpinned workers. Off by
-  /// default so concurrent processes (ctest -j, shared CI) don't stack
-  /// their pools onto the same low-numbered CPUs; the build bench measures
-  /// both settings.
-  bool pin_threads = false;
-
   /// Blocking guard when constructing the link space: a blocking key whose
   /// candidate cross-product exceeds this is treated as a stop value.
   size_t max_block_pairs = 20000;

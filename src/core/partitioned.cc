@@ -60,11 +60,8 @@ ThreadPool* PartitionedAlex::pool() const {
     if (threads == 0) {
       threads = exec::CpuTopology::Detect().RecommendedWorkers();
     }
-    ThreadPool::Options options;
-    options.pin_threads = config_.pin_threads;
-    options.name_prefix = "alexp";
     pool_ = std::make_unique<ThreadPool>(std::min(threads, spaces_.size()),
-                                         options);
+                                         "alexp");
   }
   return pool_.get();
 }

@@ -1,11 +1,6 @@
 #include "exec/topology.h"
 
-#include <algorithm>
-#include <cstdlib>
-#include <fstream>
-#include <set>
 #include <thread>
-#include <unordered_map>
 
 #ifdef __linux__
 #include <sched.h>
@@ -14,101 +9,26 @@
 namespace alex::exec {
 namespace {
 
-/// Reads one small sysfs file; empty string when absent/unreadable.
-std::string ReadFileToString(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return {};
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  return text;
-}
-
-/// cpu id -> NUMA node, from <root>/devices/system/node/node<N>/cpulist.
-/// Empty map when the node directory is absent (no NUMA info).
-std::unordered_map<int, int> ReadNodeMap(const std::string& sysfs_root) {
-  std::unordered_map<int, int> node_of;
-  // Nodes are dense in practice; scan until the first gap with a generous
-  // cap so a fabricated test tree can still use a handful of nodes.
-  int misses = 0;
-  for (int node = 0; node < 4096 && misses < 2; ++node) {
-    const std::string text = ReadFileToString(
-        sysfs_root + "/devices/system/node/node" + std::to_string(node) +
-        "/cpulist");
-    if (text.empty()) {
-      ++misses;
-      continue;
-    }
-    misses = 0;
-    for (int cpu : ParseCpuList(text)) node_of.emplace(cpu, node);
-  }
-  return node_of;
-}
-
 /// Kernel cpu ids this process may run on, via the affinity mask. Empty
-/// (with *supported = false) when the syscall is unavailable or denied.
-std::vector<int> ReadAllowedCpus(bool* supported) {
-  *supported = false;
+/// when the syscall is unavailable or denied.
+std::vector<int> ReadAllowedCpus() {
+  std::vector<int> cpus;
 #ifdef __linux__
   cpu_set_t set;
   CPU_ZERO(&set);
   if (sched_getaffinity(0, sizeof(set), &set) == 0) {
-    *supported = true;
-    std::vector<int> cpus;
     for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
       if (CPU_ISSET(cpu, &set)) cpus.push_back(cpu);
     }
-    return cpus;
   }
 #endif
-  return {};
-}
-
-size_t CountNodes(const std::vector<CpuInfo>& cpus) {
-  std::set<int> nodes;
-  for (const CpuInfo& c : cpus) nodes.insert(c.node);
-  return nodes.empty() ? 1 : nodes.size();
+  return cpus;
 }
 
 }  // namespace
 
-std::vector<int> ParseCpuList(std::string_view text) {
-  std::vector<int> cpus;
-  size_t i = 0;
-  auto parse_int = [&](int* out) {
-    size_t start = i;
-    long value = 0;
-    while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
-      value = value * 10 + (text[i] - '0');
-      if (value > 1 << 22) return false;  // Absurd cpu id: malformed.
-      ++i;
-    }
-    if (i == start) return false;
-    *out = static_cast<int>(value);
-    return true;
-  };
-  while (i < text.size()) {
-    if (text[i] == ' ' || text[i] == '\n' || text[i] == '\t' ||
-        text[i] == '\r' || text[i] == ',') {
-      ++i;
-      continue;
-    }
-    int lo = 0;
-    if (!parse_int(&lo)) break;
-    int hi = lo;
-    if (i < text.size() && text[i] == '-') {
-      ++i;
-      if (!parse_int(&hi) || hi < lo) break;
-    }
-    for (int cpu = lo; cpu <= hi; ++cpu) cpus.push_back(cpu);
-  }
-  std::sort(cpus.begin(), cpus.end());
-  cpus.erase(std::unique(cpus.begin(), cpus.end()), cpus.end());
-  return cpus;
-}
-
-CpuTopology CpuTopology::ProbeAt(const std::string& sysfs_root) {
-  CpuTopology topo;
-  std::vector<int> allowed = ReadAllowedCpus(&topo.affinity_supported_);
+CpuTopology CpuTopology::Probe() {
+  std::vector<int> allowed = ReadAllowedCpus();
   if (allowed.empty()) {
     // No affinity information: fall back to hardware_concurrency() dense
     // ids. hardware_concurrency() may itself report 0; never go below 1.
@@ -117,48 +37,15 @@ CpuTopology CpuTopology::ProbeAt(const std::string& sysfs_root) {
       allowed.push_back(cpu);
     }
   }
-  const std::unordered_map<int, int> node_of = ReadNodeMap(sysfs_root);
+  CpuTopology topo;
   topo.cpus_.reserve(allowed.size());
-  for (int cpu : allowed) {
-    auto it = node_of.find(cpu);
-    topo.cpus_.push_back(CpuInfo{cpu, it == node_of.end() ? 0 : it->second});
-  }
-  topo.num_nodes_ = CountNodes(topo.cpus_);
+  for (int cpu : allowed) topo.cpus_.push_back(CpuInfo{cpu});
   return topo;
 }
-
-CpuTopology CpuTopology::Probe() { return ProbeAt("/sys"); }
 
 const CpuTopology& CpuTopology::Detect() {
   static const CpuTopology* topo = new CpuTopology(Probe());
   return *topo;
-}
-
-CpuTopology CpuTopology::ForTesting(std::vector<CpuInfo> cpus,
-                                    bool affinity_supported) {
-  CpuTopology topo;
-  topo.cpus_ = std::move(cpus);
-  if (topo.cpus_.empty()) topo.cpus_.push_back(CpuInfo{0, 0});
-  std::sort(topo.cpus_.begin(), topo.cpus_.end(),
-            [](const CpuInfo& a, const CpuInfo& b) { return a.cpu < b.cpu; });
-  topo.num_nodes_ = CountNodes(topo.cpus_);
-  topo.affinity_supported_ = affinity_supported;
-  return topo;
-}
-
-int CpuTopology::NodeOfCpu(int cpu) const {
-  for (const CpuInfo& c : cpus_) {
-    if (c.cpu == cpu) return c.node;
-  }
-  return 0;
-}
-
-std::vector<int> CpuTopology::CpusOnNode(int node) const {
-  std::vector<int> out;
-  for (const CpuInfo& c : cpus_) {
-    if (c.node == node) out.push_back(c.cpu);
-  }
-  return out;
 }
 
 }  // namespace alex::exec

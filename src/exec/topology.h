@@ -2,63 +2,33 @@
 #define ALEX_EXEC_TOPOLOGY_H_
 
 #include <cstddef>
-#include <string>
-#include <string_view>
 #include <vector>
 
 namespace alex::exec {
 
 /// One logical CPU this process may run on.
 struct CpuInfo {
-  int cpu = 0;   ///< Kernel CPU id (the id affinity masks use).
-  int node = 0;  ///< NUMA node the CPU belongs to (0 when unknown).
+  int cpu = 0;  ///< Kernel CPU id (the id affinity masks use).
 };
 
-/// Hardware topology as visible to this process: the CPUs the scheduler
-/// will actually give us (the affinity mask, not the machine total — in a
-/// container with a 4-CPU quota on a 64-CPU host the answer is 4) and the
-/// NUMA node of each, read from /sys/devices/system/node.
+/// The CPUs the scheduler will actually give this process: the affinity
+/// mask, not the machine total — in a container with a 4-CPU quota on a
+/// 64-CPU host the answer is 4.
 ///
-/// Probing never fails. Every degraded environment — no /sys, affinity
-/// syscalls denied by seccomp, non-Linux build — collapses to a single-node
-/// topology over hardware_concurrency() CPUs with affinity_supported()
-/// false, and everything built on top (pinning, locality-ordered stealing)
-/// degrades to the topology-blind behavior instead of aborting.
+/// Probing never fails. Where the affinity mask cannot be read (syscall
+/// denied by seccomp, non-Linux build) the answer is hardware_concurrency()
+/// dense CPU ids, and at least one.
 class CpuTopology {
  public:
   /// Probes the live system.
   static CpuTopology Probe();
 
-  /// Probe against an alternate sysfs root (tests fabricate node dirs).
-  /// `sysfs_root` replaces "/sys" — node lists are read from
-  /// `<sysfs_root>/devices/system/node/node<N>/cpulist`.
-  static CpuTopology ProbeAt(const std::string& sysfs_root);
-
   /// Process-wide probe, performed once and cached.
   static const CpuTopology& Detect();
-
-  /// Builds an explicit topology (tests; also lets callers simulate a
-  /// machine). `affinity_supported` controls whether pinning is attempted.
-  static CpuTopology ForTesting(std::vector<CpuInfo> cpus,
-                                bool affinity_supported);
 
   /// CPUs available to this process, ascending by cpu id. Never empty.
   const std::vector<CpuInfo>& cpus() const { return cpus_; }
   size_t num_cpus() const { return cpus_.size(); }
-
-  /// Distinct NUMA nodes across cpus(). At least 1.
-  size_t num_nodes() const { return num_nodes_; }
-
-  /// Node of a kernel cpu id, or 0 if the id is not in cpus().
-  int NodeOfCpu(int cpu) const;
-
-  /// CPUs of `node`, ascending (empty for unknown nodes).
-  std::vector<int> CpusOnNode(int node) const;
-
-  /// True when affinity syscalls worked during the probe, i.e. pinning has
-  /// a chance of succeeding. False is a promise of graceful degradation,
-  /// not an error.
-  bool affinity_supported() const { return affinity_supported_; }
 
   /// The one place pool sizes come from: the number of CPUs the process is
   /// actually allowed to use (at least 1). Replaces the ad-hoc
@@ -69,14 +39,7 @@ class CpuTopology {
   CpuTopology() = default;
 
   std::vector<CpuInfo> cpus_;
-  size_t num_nodes_ = 1;
-  bool affinity_supported_ = false;
 };
-
-/// Parses a kernel cpulist ("0-3,8,10-11") into ascending cpu ids.
-/// Tolerates surrounding whitespace/newlines; malformed input yields the
-/// ids parsed up to the malformation (never throws).
-std::vector<int> ParseCpuList(std::string_view text);
 
 }  // namespace alex::exec
 

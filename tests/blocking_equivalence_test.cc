@@ -167,21 +167,24 @@ TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
   scenario.value_noise = 0.5;
   const datagen::GeneratedPair pair = datagen::GenerateScenario(scenario);
 
-  AlexConfig config;
-  config.num_partitions = 4;
-  config.num_threads = 2;
-  PartitionedAlex alex(&pair.left, &pair.right, config);
-  alex.Build();
-  EXPECT_GT(alex.shared_index_seconds(), 0.0);
-
-  std::vector<uint64_t> digests;
-  for (size_t p = 0; p < alex.num_partitions(); ++p) {
-    digests.push_back(SpaceDigest(alex.space(p)));
-  }
   const std::vector<uint64_t> golden = {
       0x6f99e9cd1897874full, 0xf37aafea2eb5bdbfull, 0xbd6adb458c7f8f9dull,
       0x5830d50e7f28d094ull};
-  EXPECT_EQ(digests, golden);
+  // The build is invariant to the thread count.
+  for (size_t threads : {1, 2, 4}) {
+    AlexConfig config;
+    config.num_partitions = 4;
+    config.num_threads = threads;
+    PartitionedAlex alex(&pair.left, &pair.right, config);
+    alex.Build();
+    EXPECT_GT(alex.shared_index_seconds(), 0.0);
+
+    std::vector<uint64_t> digests;
+    for (size_t p = 0; p < alex.num_partitions(); ++p) {
+      digests.push_back(SpaceDigest(alex.space(p)));
+    }
+    EXPECT_EQ(digests, golden) << threads << " threads";
+  }
 }
 
 }  // namespace

@@ -8,8 +8,6 @@
 
 #include <gtest/gtest.h>
 
-#include "exec/topology.h"
-
 namespace alex {
 namespace {
 
@@ -190,86 +188,19 @@ TEST(ThreadPoolTest, StealingStressManyProducers) {
   EXPECT_EQ(sum.load(), int64_t{kTasks} * (kTasks - 1) / 2);
 }
 
-TEST(ThreadPoolTest, PinningDegradesGracefullyOnBogusTopology) {
-  // A topology whose CPU ids cannot exist forces every pin attempt to fail.
-  // The pool must still run everything; pinned_workers() reports the
-  // degradation instead of the constructor aborting.
-  const exec::CpuTopology bogus = exec::CpuTopology::ForTesting(
-      {{1 << 20, 0}, {(1 << 20) + 1, 0}}, /*affinity_supported=*/true);
-  ThreadPool::Options options;
-  options.pin_threads = true;
-  options.topology = &bogus;
-  ThreadPool pool(2, options);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-  EXPECT_EQ(pool.pinned_workers(), 0u);
-}
-
-TEST(ThreadPoolTest, PinningSkippedWhenAffinityUnsupported) {
-  const exec::CpuTopology none =
-      exec::CpuTopology::ForTesting({{0, 0}}, /*affinity_supported=*/false);
-  ThreadPool::Options options;
-  options.pin_threads = true;
-  options.topology = &none;
-  ThreadPool pool(2, options);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-  EXPECT_EQ(pool.pinned_workers(), 0u);
-}
-
-TEST(ThreadPoolTest, PinnedPoolRunsOnRealTopology) {
-  // On the live machine: pinning either works (pinned_workers > 0) or the
-  // environment denies it (== 0); both are valid, crashing is not.
-  ThreadPool::Options options;
-  options.pin_threads = true;
-  ThreadPool pool(2, options);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 50);
-  EXPECT_LE(pool.pinned_workers(), pool.num_threads());
-}
-
-TEST(ThreadPoolTest, ParallelForExplicitGrainCoversAllIndices) {
-  ThreadPool pool(4);
-  for (size_t grain : {size_t{1}, size_t{7}, size_t{100}, size_t{10000}}) {
-    std::vector<std::atomic<int>> hits(1013);
-    ParallelForOptions options;
-    options.grain = grain;
-    ParallelFor(
-        &pool, hits.size(), [&hits](size_t i) { hits[i].fetch_add(1); },
-        options);
-    for (size_t i = 0; i < hits.size(); ++i) {
-      ASSERT_EQ(hits[i].load(), 1) << "grain " << grain << " index " << i;
-    }
-  }
-}
-
 TEST(ThreadPoolTest, ParallelForThrowAbandonsOwnChunkOnly) {
   // Chunked exception semantics: index 0 throws, killing the remainder of
-  // its chunk; every index in every OTHER chunk still runs.
+  // its chunk; every index in every OTHER chunk still runs. Two workers get
+  // 16 chunks, so 160 indices chunk into runs of 10.
   ThreadPool pool(2);
-  constexpr size_t kN = 40;
+  constexpr size_t kN = 160;
   constexpr size_t kGrain = 10;
   std::vector<std::atomic<int>> hits(kN);
-  ParallelForOptions options;
-  options.grain = kGrain;
   try {
-    ParallelFor(
-        &pool, kN,
-        [&hits](size_t i) {
-          if (i == 0) throw std::runtime_error("chunk boom");
-          hits[i].fetch_add(1);
-        },
-        options);
+    ParallelFor(&pool, kN, [&hits](size_t i) {
+      if (i == 0) throw std::runtime_error("chunk boom");
+      hits[i].fetch_add(1);
+    });
     FAIL() << "ParallelFor must rethrow the chunk exception";
   } catch (const std::runtime_error& e) {
     EXPECT_EQ(std::string(e.what()), "chunk boom");
