@@ -5,10 +5,11 @@
 // spaces are digested (pairs, feature keys, feature score bits, partition
 // by partition) and the two worker counts must agree exactly at each
 // partition count — the build is invariant to the thread count — or the
-// bench exits 1. The number of allowed CPUs is embedded in the JSON so a
-// 1-core CI run is distinguishable from a real multi-core measurement. One
-// extra traced 4-partition build is written as
-// bench_build_space.trace.json.
+// bench exits 1. Each run also prints the similarity-matrix cells scored
+// and the cells the gram/token masks skipped. The number of allowed CPUs
+// is embedded in the JSON so a 1-core CI run is distinguishable from a
+// real multi-core measurement. One extra traced 4-partition build is
+// written as bench_build_space.trace.json.
 //
 // Usage: bench_build_space [scenario_name] [reps]   (defaults:
 // dbpedia_nytimes — the paper's batch-mode scenario of Figures 2a and 5 —
@@ -107,12 +108,15 @@ void PrintRecord(const RunRecord& r, bool last) {
       "    {\"partitions\": %zu, \"workers\": %zu, \"total_seconds\": %.4f, "
       "\"max_partition_seconds\": %.4f, \"shared_index_seconds\": %.4f, "
       "\"candidate_pairs\": %llu, \"kept_pairs\": %llu, "
-      "\"features_indexed\": %llu, \"digest\": \"%016llx\"}%s\n",
+      "\"features_indexed\": %llu, \"cells_scored\": %llu, "
+      "\"cells_skipped\": %llu, \"digest\": \"%016llx\"}%s\n",
       r.partitions, r.workers, r.total_seconds,
       r.max_partition_seconds, r.shared_index_seconds,
       static_cast<unsigned long long>(r.stats.candidate_pairs),
       static_cast<unsigned long long>(r.stats.kept_pairs),
       static_cast<unsigned long long>(r.stats.features_indexed),
+      static_cast<unsigned long long>(r.stats.cells_scored),
+      static_cast<unsigned long long>(r.stats.cells_skipped),
       static_cast<unsigned long long>(r.digest), last ? "" : ",");
 }
 

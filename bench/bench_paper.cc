@@ -22,10 +22,12 @@
 #include "feedback/oracle.h"
 #include "paris/link_spec.h"
 #include "paris/paris.h"
+#include "simulation/report.h"
 
 namespace alex::bench {
 namespace {
 
+using simulation::ConvergenceEpisode;
 using simulation::RunResult;
 using simulation::SimulationConfig;
 using Labels = std::vector<std::string>;
@@ -42,14 +44,6 @@ SimulationConfig MakeConfig(const dg::ScenarioConfig& scenario,
   return config;
 }
 
-/// The strict-convergence episode as printed: `none` for a run that hit
-/// `max_episodes` without converging (converged_episode == 0).
-std::string StrictConvergence(const RunResult& result) {
-  return result.converged_episode == 0
-             ? "none"
-             : std::to_string(result.converged_episode);
-}
-
 /// Prints one run as the paper's quality figures show it: P/R/F per episode
 /// and the convergence markers the figures annotate.
 void PrintQualityFigure(const char* title, const RunResult& result) {
@@ -64,9 +58,10 @@ void PrintQualityFigure(const char* title, const RunResult& result) {
                 r.metrics.recall, r.metrics.f_measure);
   }
   std::printf(
-      "relaxed_convergence(<5%% change)=%zu strict_convergence=%s "
+      "relaxed_convergence(<5%% change)=%s strict_convergence=%s "
       "ground_truth=%zu initial_links=%zu new_links_discovered=%zu\n",
-      result.relaxed_episode, StrictConvergence(result).c_str(),
+      ConvergenceEpisode(result.relaxed_episode).c_str(),
+      ConvergenceEpisode(result.converged_episode).c_str(),
       result.episodes.empty() ? 0 : result.episodes.back().metrics.ground_truth,
       result.initial_links, result.new_links_discovered);
 }
@@ -465,10 +460,12 @@ std::vector<Figure> PaperFigures() {
                    ExtractNegPercent, 11}},
        .footer = [](const Labels&, const Results& r) {
          std::printf(
-             "\nconvergence: with_blacklist strict=%s relaxed=%zu | "
-             "without_blacklist strict=%s relaxed=%zu\n",
-             StrictConvergence(r[0]).c_str(), r[0].relaxed_episode,
-             StrictConvergence(r[1]).c_str(), r[1].relaxed_episode);
+             "\nconvergence: with_blacklist strict=%s relaxed=%s | "
+             "without_blacklist strict=%s relaxed=%s\n",
+             ConvergenceEpisode(r[0].converged_episode).c_str(),
+             ConvergenceEpisode(r[0].relaxed_episode).c_str(),
+             ConvergenceEpisode(r[1].converged_episode).c_str(),
+             ConvergenceEpisode(r[1].relaxed_episode).c_str());
        }},
       {.id = "fig7", .custom = Fig7},
       {.id = "sec7_3", .custom = Sec7_3},
@@ -529,9 +526,10 @@ std::vector<Figure> PaperFigures() {
        .footer = [](const Labels& shown, const Results& r) {
          std::printf("\nconvergence episodes (strict / relaxed):\n");
          for (size_t i = 0; i < r.size(); ++i) {
-           std::printf("  %s: strict=%s relaxed=%zu final_F=%.3f\n",
-                       shown[i].c_str(), StrictConvergence(r[i]).c_str(),
-                       r[i].relaxed_episode,
+           std::printf("  %s: strict=%s relaxed=%s final_F=%.3f\n",
+                       shown[i].c_str(),
+                       ConvergenceEpisode(r[i].converged_episode).c_str(),
+                       ConvergenceEpisode(r[i].relaxed_episode).c_str(),
                        r[i].final_episode().metrics.f_measure);
          }
        }},
@@ -580,10 +578,11 @@ std::vector<Figure> PaperFigures() {
        .footer = [](const Labels& shown, const Results& r) {
          std::printf("\nfinal F / relaxed convergence:\n");
          for (size_t i = 0; i < r.size(); ++i) {
-           std::printf("  %s: F=%.3f relaxed=%zu strict=%s\n",
+           std::printf("  %s: F=%.3f relaxed=%s strict=%s\n",
                        shown[i].c_str(),
                        r[i].final_episode().metrics.f_measure,
-                       r[i].relaxed_episode, StrictConvergence(r[i]).c_str());
+                       ConvergenceEpisode(r[i].relaxed_episode).c_str(),
+                       ConvergenceEpisode(r[i].converged_episode).c_str());
          }
        }},
   };

@@ -95,10 +95,10 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
       [&](size_t li, size_t rj) {
         const rdf::TermId lt = la[li].object;
         const rdf::TermId rt = ra[rj].object;
-        return sim::ValueSimilarity(left_values.value(lt),
-                                    right_values.value(rt),
-                                    &left_values.profile(lt),
-                                    &right_values.profile(rt));
+        return sim::ValueSimilarity(
+            left_values.value(lt), right_values.value(rt),
+            left_values.profile(lt), right_values.profile(rt),
+            &scratch->cells);
       },
       &scratch->raw);
 }

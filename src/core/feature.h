@@ -7,6 +7,7 @@
 
 #include "core/blocking.h"
 #include "rdf/dataset.h"
+#include "similarity/similarity.h"
 
 namespace alex::core {
 
@@ -42,9 +43,11 @@ using FeatureSet = std::vector<FeatureValue>;
 /// Reusable buffer for the cached ComputeFeatureSet. A link-space build
 /// scores hundreds of thousands of candidate pairs; without a scratch every
 /// call allocates its raw-feature vector anew. One scratch per
-/// (single-threaded) build loop; contents are overwritten per call.
+/// (single-threaded) build loop; `raw` is overwritten per call, `cells`
+/// accumulates the similarity-matrix cells of every call.
 struct FeatureScratch {
   FeatureSet raw;
+  sim::CellCounts cells;
 };
 
 /// Computes the state feature set for the entity pair (left_e, right_e).
@@ -58,8 +61,9 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
 /// Cache-aware variant used by the link-space build: attribute values and
 /// their string profiles come from the per-dataset ValueCaches instead of
 /// being re-parsed per candidate pair, and every similarity-matrix cell
-/// runs the profile-accelerated sim::ValueSimilarity. Produces the same
-/// feature sets as the uncached overload above.
+/// runs the profile-accelerated sim::ValueSimilarity, counted in
+/// `scratch->cells`. Produces the same feature sets as the uncached
+/// overload above.
 FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
                              const rdf::Dataset& right, rdf::EntityId right_e,
                              double theta, const ValueCache& left_values,

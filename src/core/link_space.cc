@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <unordered_set>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -79,63 +78,69 @@ void LinkSpace::FinalizeFeatureIndex() {
 
 void LinkSpace::Build(const Dataset& left, const Dataset& right,
                       const std::vector<EntityId>& left_entities, double theta,
-                      size_t max_block_pairs, const BuildResources& res,
-                      exec::ArenaAllocator* arena) {
+                      size_t max_block_pairs, const BuildResources& res) {
   ALEX_TRACE_SPAN("build", "LinkSpace::Build");
   SpaceMetrics& metrics = SpaceMetrics::Get();
   obs::ScopedTimer build_timer(metrics.build_seconds);
   Reset(static_cast<uint64_t>(left_entities.size()) *
         static_cast<uint64_t>(right.num_entities()));
 
-  // Count left-subset entities per key so oversized blocks can be skipped.
-  // The counts are per-partition by design (a block's size is |partition
-  // lefts with the key| × |right block|), so this pass stays local; only
-  // the right-side inversion is shared.
-  //
-  // The count map and evaluated-pair set are the build's allocation churn
-  // (millions of node/table allocations that all die when this function
-  // returns); with an arena they become pointer bumps. Same
-  // container types either way — a null arena in ArenaStl is the global
-  // allocator — so both paths run literally the same code.
-  std::unordered_map<BlockKey, size_t, std::hash<BlockKey>,
-                     std::equal_to<BlockKey>,
-                     exec::ArenaStl<std::pair<const BlockKey, size_t>>>
-      left_key_counts(/*bucket_count=*/0, std::hash<BlockKey>(),
-                      std::equal_to<BlockKey>(),
-                      exec::ArenaStl<std::pair<const BlockKey, size_t>>(arena));
+  // Every left-subset occurrence of every key, sorted, so a key's count is
+  // the length of its run and oversized blocks can be skipped. The counts
+  // are per-partition by design (a block's size is |partition lefts with
+  // the key| × |right block|), so this pass stays local; only the
+  // right-side inversion is shared.
+  size_t occurrences = 0;  // Before the per-entity dedup: an upper bound.
+  for (EntityId l : left_entities) {
+    for (const rdf::Attribute& a : left.attributes(l)) {
+      occurrences += res.left_keys->keys(a.object).size();
+    }
+  }
+  std::vector<BlockKey> left_key_runs;
+  left_key_runs.reserve(occurrences);
   std::vector<BlockKey> entity_keys;
   for (EntityId l : left_entities) {
     res.left_keys->EntityKeys(l, &entity_keys);
-    for (BlockKey key : entity_keys) ++left_key_counts[key];
+    left_key_runs.insert(left_key_runs.end(), entity_keys.begin(),
+                         entity_keys.end());
   }
+  std::sort(left_key_runs.begin(), left_key_runs.end());
 
   const uint64_t effective_cap =
       EffectiveBlockCap(stats_.total_possible, max_block_pairs);
 
+  // A pair (l, r) can only recur within l's own key loop, so one stamp per
+  // right entity — the position + 1 of the left entity that last evaluated
+  // it — dedups the pairs in first-seen order.
+  std::vector<uint32_t> evaluated_by(right.num_entities(), 0);
+  uint64_t candidate_pairs = 0;
   FeatureScratch scratch;
-  std::unordered_set<PairKey, std::hash<PairKey>, std::equal_to<PairKey>,
-                     exec::ArenaStl<PairKey>>
-      evaluated(/*bucket_count=*/0, std::hash<PairKey>(),
-                std::equal_to<PairKey>(), exec::ArenaStl<PairKey>(arena));
-  for (EntityId l : left_entities) {
+  for (size_t i = 0; i < left_entities.size(); ++i) {
+    const EntityId l = left_entities[i];
+    const uint32_t stamp = static_cast<uint32_t>(i + 1);
     res.left_keys->EntityKeys(l, &entity_keys);
     for (BlockKey key : entity_keys) {
       const std::vector<EntityId>* block = res.right_index->block(key);
       if (block == nullptr) continue;
+      const auto run = std::equal_range(left_key_runs.begin(),
+                                        left_key_runs.end(), key);
       const uint64_t block_size =
-          static_cast<uint64_t>(left_key_counts[key]) * block->size();
+          static_cast<uint64_t>(run.second - run.first) * block->size();
       if (block_size > effective_cap) continue;  // Stop value.
       for (EntityId r : *block) {
-        const PairKey pair = feedback::PackPair(l, r);
-        if (!evaluated.insert(pair).second) continue;
-        KeepIfNonEmpty(pair,
+        if (evaluated_by[r] == stamp) continue;
+        evaluated_by[r] = stamp;
+        ++candidate_pairs;
+        KeepIfNonEmpty(feedback::PackPair(l, r),
                        ComputeFeatureSet(left, l, right, r, theta,
                                          *res.left_values, *res.right_values,
                                          &scratch));
       }
     }
   }
-  stats_.candidate_pairs = evaluated.size();
+  stats_.candidate_pairs = candidate_pairs;
+  stats_.cells_scored = scratch.cells.scored;
+  stats_.cells_skipped = scratch.cells.skipped;
   FinalizeFeatureIndex();
   metrics.pairs_evaluated.Add(stats_.candidate_pairs);
   metrics.pairs_kept.Add(stats_.kept_pairs);

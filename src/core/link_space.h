@@ -7,7 +7,6 @@
 
 #include "core/blocking.h"
 #include "core/feature.h"
-#include "exec/arena.h"
 #include "feedback/ground_truth.h"
 #include "rdf/dataset.h"
 
@@ -46,27 +45,24 @@ class LinkSpace {
     uint64_t kept_pairs = 0;
     /// Total feature entries indexed.
     uint64_t features_indexed = 0;
+    /// Similarity-matrix cells of the candidate pairs whose score was
+    /// computed, and string cells the gram/token masks settled at 0.0
+    /// (sim::CellCounts).
+    uint64_t cells_scored = 0;
+    uint64_t cells_skipped = 0;
   };
 
   LinkSpace() = default;
 
   /// Builds the space between `left_entities` (a partition of the left
-  /// dataset) and all entities of `right`, using shared read-only build
-  /// resources (right-dataset blocking index, term-key and value caches).
-  /// All of `res`'s members must be non-null, built from these datasets,
-  /// and outlive the call. Datasets are borrowed and must outlive the
-  /// LinkSpace.
-  ///
-  /// With a non-null `arena`, the build-phase temporaries (per-key block
-  /// count map, evaluated-pair set) bump-allocate from it instead of the
-  /// global allocator; the arena is scratch only — nothing in the finished
-  /// LinkSpace points into it, so the caller frees or resets it as soon as
-  /// Build returns. The arena and non-arena paths produce bit-identical
-  /// spaces.
+  /// dataset, no entity listed twice) and all entities of `right`, using
+  /// shared read-only build resources (right-dataset blocking index,
+  /// term-key and value caches). All of `res`'s members must be non-null,
+  /// built from these datasets, and outlive the call. Datasets are borrowed
+  /// and must outlive the LinkSpace.
   void Build(const rdf::Dataset& left, const rdf::Dataset& right,
              const std::vector<rdf::EntityId>& left_entities, double theta,
-             size_t max_block_pairs, const BuildResources& res,
-             exec::ArenaAllocator* arena = nullptr);
+             size_t max_block_pairs, const BuildResources& res);
 
   /// Single-shot convenience wrapper: builds the blocking index and caches
   /// locally, then delegates to the shared-resource overload. Call sites

@@ -5,7 +5,6 @@
 #include <iterator>
 
 #include "common/thread_pool.h"
-#include "exec/arena.h"
 #include "exec/topology.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -96,16 +95,13 @@ std::vector<double> PartitionedAlex::Build() {
   // Phase 2: per-partition builds, all borrowing the shared resources.
   // ParallelFor's chunk-index affinity hint homes partition p on worker
   // p % workers, so the partition's blocking scratch and candidate
-  // vectors are (stealing aside) touched by one core. Each partition gets
-  // its own arena for the build temporaries — created here and dropped as
-  // soon as its build finishes, since the LinkSpace keeps nothing in it.
+  // vectors are (stealing aside) touched by one core.
   const BuildResources res{right_index.get(), left_keys.get(),
                            left_values.get(), right_values.get()};
   ParallelFor(pool(), n, [this, &metrics, &seconds, &res](size_t p) {
     obs::ScopedTimer timer(metrics.partition_build_seconds, &seconds[p]);
-    exec::ArenaAllocator arena;
     spaces_[p]->Build(*left_, *right_, partition_entities_[p], config_.theta,
-                      config_.max_block_pairs, res, &arena);
+                      config_.max_block_pairs, res);
   });
   return seconds;
 }
@@ -240,6 +236,8 @@ LinkSpace::BuildStats PartitionedAlex::AggregatedSpaceStats() const {
     total.candidate_pairs += s.candidate_pairs;
     total.kept_pairs += s.kept_pairs;
     total.features_indexed += s.features_indexed;
+    total.cells_scored += s.cells_scored;
+    total.cells_skipped += s.cells_skipped;
   }
   return total;
 }

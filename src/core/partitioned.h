@@ -25,9 +25,9 @@ class PartitionedAlex {
   /// Builds every partition's link space (the preprocessing step): first
   /// constructs the shared right-dataset BlockingIndex and the per-dataset
   /// term-key / value caches once, then builds all partitions against them
-  /// in parallel, each into its own scratch arena. Returns per-partition
-  /// build seconds (Section 7.3 reports the slowest); the shared-resource
-  /// construction time is reported separately via shared_index_seconds().
+  /// in parallel. Returns per-partition build seconds (Section 7.3 reports
+  /// the slowest); the shared-resource construction time is reported
+  /// separately via shared_index_seconds().
   std::vector<double> Build();
 
   /// Wall seconds spent building the shared blocking index and caches in

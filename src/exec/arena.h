@@ -9,9 +9,9 @@
 
 namespace alex::exec {
 
-/// Chunked bump (region) allocator for phase-scoped temporaries: the
-/// link-space build and dictionary interning allocate millions of small
-/// nodes that all die together, so individual free() calls — and the
+/// Chunked bump (region) allocator for phase-scoped temporaries:
+/// dictionary interning allocates millions of small nodes that all die
+/// together, so individual free() calls — and the
 /// global allocator's locks and size-class bookkeeping — are pure
 /// overhead. Allocation is a pointer bump within the current chunk; a full
 /// chunk moves on to the next (reusing retained chunks before asking the

@@ -42,18 +42,27 @@ double ValueSimilarity(const TypedValue& a, const TypedValue& b) {
 }
 
 double ValueSimilarity(const TypedValue& a, const TypedValue& b,
-                       const StringProfile* pa, const StringProfile* pb) {
+                       const StringProfile& pa, const StringProfile& pb,
+                       CellCounts* cells) {
   if (a.is_numeric() && b.is_numeric()) {
+    ++cells->scored;
     return NumericSimilarity(a.real, b.real);
   }
   if (a.kind == ValueKind::kDate && b.kind == ValueKind::kDate) {
+    ++cells->scored;
     return DateSimilarity(a.date_days, b.date_days);
   }
-  if (pa == nullptr || pb == nullptr) return StringSimilarity(a.text, b.text);
+  // Exact: equal strings of 3+ characters share every trigram, so the 1.0
+  // case below is never skipped, and max(0/n, 0/u) is +0.0.
+  if (ProfilesDisjoint(pa, pb)) {
+    ++cells->skipped;
+    return 0.0;
+  }
+  ++cells->scored;
   // StringSimilarity on the precomputed lowercase forms.
-  if (pa->lower == pb->lower) return 1.0;
-  return std::max(TrigramDiceSimilarity(*pa, *pb),
-                  TokenJaccardSimilarity(*pa, *pb));
+  if (pa.lower == pb.lower) return 1.0;
+  return std::max(TrigramDiceSimilarity(pa, pb),
+                  TokenJaccardSimilarity(pa, pb));
 }
 
 double TermSimilarity(const rdf::Term& a, const rdf::Term& b) {

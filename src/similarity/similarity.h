@@ -20,13 +20,22 @@ namespace alex::sim {
 /// Symmetric and deterministic.
 double ValueSimilarity(const TypedValue& a, const TypedValue& b);
 
+/// Work done by the profiled ValueSimilarity: cells whose score it
+/// computed, and string cells that ProfilesDisjoint settled at 0.0 without
+/// running the metrics.
+struct CellCounts {
+  uint64_t scored = 0;
+  uint64_t skipped = 0;
+};
+
 /// Profile-accelerated variant: `pa`/`pb` must be the StringProfiles of
-/// `a.text`/`b.text`. When both are non-null the string branch runs on the
-/// precomputed profiles (no lowercasing/tokenization/trigram extraction per
-/// call); either may be nullptr to fall back to the direct path for that
-/// comparison. Returns bit-identical doubles to the two-argument overload.
+/// `a.text`/`b.text`. The string branch runs on the precomputed profiles
+/// (no lowercasing/tokenization/trigram extraction per call) and returns
+/// 0.0 without merging them when ProfilesDisjoint(pa, pb). Adds the cell to
+/// `*cells`. Returns bit-identical doubles to the two-argument overload.
 double ValueSimilarity(const TypedValue& a, const TypedValue& b,
-                       const StringProfile* pa, const StringProfile* pb);
+                       const StringProfile& pa, const StringProfile& pb,
+                       CellCounts* cells);
 
 /// Parses both terms and delegates to ValueSimilarity.
 double TermSimilarity(const rdf::Term& a, const rdf::Term& b);

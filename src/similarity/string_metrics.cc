@@ -140,6 +140,20 @@ StringProfile MakeStringProfile(std::string_view s) {
                  p.tokens.end());
   p.trigrams = Trigrams(p.lower);
   std::sort(p.trigrams.begin(), p.trigrams.end());
+  // Fibonacci hashing: the top 7 bits of the 24-bit gram times 2^32/phi.
+  for (uint32_t g : p.trigrams) {
+    const uint32_t bit = (g * 0x9E3779B1u) >> 25;
+    p.gram_mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+  }
+  // FNV-1a, then the top 6 bits of its product with 2^64/phi.
+  for (const std::string& token : p.tokens) {
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (unsigned char c : token) {
+      h ^= c;
+      h *= 0x100000001b3ULL;
+    }
+    p.token_mask |= uint64_t{1} << ((h * 0x9E3779B97F4A7C15ULL) >> 58);
+  }
   return p;
 }
 

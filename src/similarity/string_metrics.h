@@ -1,6 +1,7 @@
 #ifndef ALEX_SIMILARITY_STRING_METRICS_H_
 #define ALEX_SIMILARITY_STRING_METRICS_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -38,6 +39,11 @@ struct StringProfile {
   std::string lower;                // ToLowerAscii of the original string.
   std::vector<std::string> tokens;  // Sorted, deduplicated WordTokens(lower).
   std::vector<uint32_t> trigrams;   // Sorted trigram multiset of `lower`.
+  /// One bit per trigram (a fixed hash to 0..127) and one bit per token (a
+  /// fixed hash to 0..63): two profiles whose masks do not intersect share
+  /// no trigram and no token. The hashes are platform-independent.
+  std::array<uint64_t, 2> gram_mask = {0, 0};
+  uint64_t token_mask = 0;
 };
 
 /// Builds the profile of `s` (lowercasing it first, matching the
@@ -51,6 +57,19 @@ StringProfile MakeStringProfile(std::string_view s);
 /// hash-based originals, and the final arithmetic is unchanged.
 double TokenJaccardSimilarity(const StringProfile& a, const StringProfile& b);
 double TrigramDiceSimilarity(const StringProfile& a, const StringProfile& b);
+
+/// True when the masks prove that `a` and `b` share no trigram and no
+/// token, and both strings have at least 3 characters and at least one
+/// token. Both profile metrics then score exactly 0.0: trigram Dice is
+/// 0 / (|a| + |b|) and token Jaccard is 0 / |a ∪ b|. Never true for a pair
+/// that shares a trigram or a token; a mask collision only makes it false
+/// for a pair that shares neither.
+inline bool ProfilesDisjoint(const StringProfile& a, const StringProfile& b) {
+  return a.lower.size() >= 3 && b.lower.size() >= 3 && !a.tokens.empty() &&
+         !b.tokens.empty() && (a.token_mask & b.token_mask) == 0 &&
+         (a.gram_mask[0] & b.gram_mask[0]) == 0 &&
+         (a.gram_mask[1] & b.gram_mask[1]) == 0;
+}
 
 }  // namespace alex::sim
 

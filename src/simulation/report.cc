@@ -25,6 +25,10 @@ class ScopedStreamFormat {
 
 }  // namespace
 
+std::string ConvergenceEpisode(size_t episode) {
+  return episode == 0 ? "none" : std::to_string(episode);
+}
+
 void PrintEpisodeSeries(const RunResult& result, std::ostream& os) {
   const ScopedStreamFormat restore(os);
   os << "# scenario: " << result.scenario_name << "\n";
@@ -59,8 +63,8 @@ void PrintRunSummary(const RunResult& result, std::ostream& os) {
   const EpisodeRecord& last = result.final_episode();
   os << "scenario=" << result.scenario_name
      << " episodes=" << result.episodes.size() - 1
-     << " strict_convergence=" << result.converged_episode
-     << " relaxed_convergence=" << result.relaxed_episode
+     << " strict_convergence=" << ConvergenceEpisode(result.converged_episode)
+     << " relaxed_convergence=" << ConvergenceEpisode(result.relaxed_episode)
      << " initial_links=" << result.initial_links
      << " new_links_discovered=" << result.new_links_discovered
      << " final_F=" << std::fixed << std::setprecision(3)

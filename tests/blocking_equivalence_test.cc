@@ -9,10 +9,14 @@
 // pair) was deleted: the shared-BlockingIndex build and that reference
 // produced every one of them bit for bit. They cannot be regenerated from
 // current sources, only re-verified. The check against the uncached
-// ComputeFeatureSet stays a live comparison.
+// ComputeFeatureSet stays a live comparison. Beside each digest, the
+// similarity-matrix cells the build scored and the cells the gram/token
+// masks skipped are pinned, so a change in how much work the build does
+// shows even when its output does not change.
 
 #include <algorithm>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -25,6 +29,13 @@
 
 namespace alex::core {
 namespace {
+
+/// {cells_scored, cells_skipped} of one build.
+using CellCounts = std::pair<uint64_t, uint64_t>;
+
+CellCounts Cells(const LinkSpace& space) {
+  return {space.stats().cells_scored, space.stats().cells_skipped};
+}
 
 std::vector<PairKey> SortedPairs(const LinkSpace& space) {
   std::vector<PairKey> pairs = space.pairs();
@@ -75,9 +86,11 @@ void ExpectMatchesDirect(const datagen::GeneratedPair& pair,
 }
 
 /// Builds every split of 1 and 3 partitions against shared resources and
-/// returns the space digests in order: {p1}, {p3 split 0, 1, 2}.
+/// returns the space digests in order: {p1}, {p3 split 0, 1, 2}, with each
+/// build's cell counts in the same order in `*cells`.
 std::vector<uint64_t> ScenarioDigests(const datagen::ScenarioConfig& config,
-                                      size_t max_block_pairs) {
+                                      size_t max_block_pairs,
+                                      std::vector<CellCounts>* cells) {
   const datagen::GeneratedPair pair = datagen::GenerateScenario(config);
   const BlockingIndex right_index(pair.right);
   const TermKeyCache left_keys(pair.left);
@@ -97,6 +110,7 @@ std::vector<uint64_t> ScenarioDigests(const datagen::ScenarioConfig& config,
       space.Build(pair.left, pair.right, lefts, 0.3, max_block_pairs, res);
       ExpectMatchesDirect(pair, space, 0.3);
       digests.push_back(SpaceDigest(space));
+      cells->push_back(Cells(space));
     }
   }
   return digests;
@@ -117,7 +131,11 @@ TEST(BlockingEquivalenceTest, NoisyPersonScenario) {
   const std::vector<uint64_t> golden = {
       0xf44a1f060734da81ull, 0xf6ff0639cce3e551ull, 0x5c05f7f0d198a17bull,
       0xa435bd5a27f854a3ull};
-  EXPECT_EQ(ScenarioDigests(config, 20000), golden);
+  const std::vector<CellCounts> golden_cells = {
+      {42527, 69103}, {13839, 22761}, {13788, 22392}, {14900, 23950}};
+  std::vector<CellCounts> cells;
+  EXPECT_EQ(ScenarioDigests(config, 20000, &cells), golden);
+  EXPECT_EQ(cells, golden_cells);
 }
 
 TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
@@ -136,7 +154,11 @@ TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
   const std::vector<uint64_t> golden = {
       0x348e7fddb82f8bc5ull, 0xff5fb3d7dd200767ull, 0x3eec8af1bc5f68bdull,
       0x8edb06973404e964ull};
-  EXPECT_EQ(ScenarioDigests(config, 150), golden);
+  const std::vector<CellCounts> golden_cells = {
+      {15086, 21910}, {9691, 13224}, {6677, 9233}, {8877, 13183}};
+  std::vector<CellCounts> cells;
+  EXPECT_EQ(ScenarioDigests(config, 150, &cells), golden);
+  EXPECT_EQ(cells, golden_cells);
 }
 
 TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesGolden) {
@@ -155,6 +177,7 @@ TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesGolden) {
   LinkSpace wrapped;
   wrapped.Build(pair.left, pair.right, lefts, 0.3, 20000);
   EXPECT_EQ(SpaceDigest(wrapped), 0x02d3e2b1ee02656full);
+  EXPECT_EQ(Cells(wrapped), CellCounts(2149, 3371));
 }
 
 TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
@@ -170,6 +193,8 @@ TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
   const std::vector<uint64_t> golden = {
       0x6f99e9cd1897874full, 0xf37aafea2eb5bdbfull, 0xbd6adb458c7f8f9dull,
       0x5830d50e7f28d094ull};
+  const std::vector<CellCounts> golden_cells = {
+      {7074, 11724}, {4997, 7933}, {6452, 10126}, {5207, 7678}};
   // The build is invariant to the thread count.
   for (size_t threads : {1, 2, 4}) {
     AlexConfig config;
@@ -180,10 +205,13 @@ TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
     EXPECT_GT(alex.shared_index_seconds(), 0.0);
 
     std::vector<uint64_t> digests;
+    std::vector<CellCounts> cells;
     for (size_t p = 0; p < alex.num_partitions(); ++p) {
       digests.push_back(SpaceDigest(alex.space(p)));
+      cells.push_back(Cells(alex.space(p)));
     }
     EXPECT_EQ(digests, golden) << threads << " threads";
+    EXPECT_EQ(cells, golden_cells) << threads << " threads";
   }
 }
 

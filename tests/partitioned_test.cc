@@ -169,12 +169,19 @@ TEST_F(PartitionedTest, AggregatedSpaceStatsSumPartitions) {
   LinkSpace::BuildStats total = alex.AggregatedSpaceStats();
   uint64_t sum_possible = 0;
   uint64_t sum_kept = 0;
+  uint64_t sum_scored = 0;
+  uint64_t sum_skipped = 0;
   for (size_t p = 0; p < alex.num_partitions(); ++p) {
     sum_possible += alex.space(p).stats().total_possible;
     sum_kept += alex.space(p).stats().kept_pairs;
+    sum_scored += alex.space(p).stats().cells_scored;
+    sum_skipped += alex.space(p).stats().cells_skipped;
   }
   EXPECT_EQ(total.total_possible, sum_possible);
   EXPECT_EQ(total.kept_pairs, sum_kept);
+  EXPECT_EQ(total.cells_scored, sum_scored);
+  EXPECT_EQ(total.cells_skipped, sum_skipped);
+  EXPECT_GT(total.cells_scored, 0u);
   EXPECT_EQ(total.total_possible,
             static_cast<uint64_t>(pair_.left.num_entities()) *
                 pair_.right.num_entities());

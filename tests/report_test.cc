@@ -83,6 +83,25 @@ TEST(ReportTest, RunSummaryReportsFinalMetricsAndConvergence) {
   EXPECT_NE(text.find("total_s=1.50"), std::string::npos);
 }
 
+TEST(ReportTest, RunSummaryPrintsNoneForANeverConvergedRun) {
+  RunResult result = MakeTwoEpisodeResult();
+  result.converged_episode = 0;
+  result.relaxed_episode = 0;
+  std::ostringstream os;
+  PrintRunSummary(result, os);
+  const std::string text = os.str();
+
+  EXPECT_NE(text.find("strict_convergence=none"), std::string::npos);
+  EXPECT_NE(text.find("relaxed_convergence=none"), std::string::npos);
+  EXPECT_EQ(text.find("convergence=0"), std::string::npos);
+}
+
+TEST(ReportTest, ConvergenceEpisodeNamesTheEpisodeOrNone) {
+  EXPECT_EQ(ConvergenceEpisode(0), "none");
+  EXPECT_EQ(ConvergenceEpisode(1), "1");
+  EXPECT_EQ(ConvergenceEpisode(20), "20");
+}
+
 TEST(ReportTest, RunSummaryEmptyRunDoesNotTouchFinalEpisode) {
   // A hand-built result with no episodes must not reach final_episode()
   // (episodes.back() on an empty vector is undefined behavior).

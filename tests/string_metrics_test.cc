@@ -74,6 +74,18 @@ TEST(TrigramDiceTest, MultisetSemantics) {
   EXPECT_NEAR(TrigramDiceSimilarity("aaaa", "aaa"), 2.0 / 3, 1e-9);
 }
 
+TEST(StringProfileTest, MasksComeFromFixedHashes) {
+  // Pinned bits: the masks use fixed hashes, not std::hash, so a build's
+  // skipped-cell counts repeat on every platform.
+  const StringProfile p = MakeStringProfile("LeBron James");
+  EXPECT_EQ(p.gram_mask[0], 0x0001000020090000ULL);
+  EXPECT_EQ(p.gram_mask[1], 0x0004002844000000ULL);
+  EXPECT_EQ(p.token_mask, 0x4000000000000020ULL);
+  // No trigrams, no tokens: empty masks.
+  const StringProfile empty = MakeStringProfile("!?");
+  EXPECT_EQ(empty.gram_mask[0] | empty.gram_mask[1] | empty.token_mask, 0u);
+}
+
 /// Property sweep: all metrics are symmetric, bounded to [0,1], and reflexive.
 class MetricPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
