@@ -59,8 +59,7 @@ uint64_t DigestSpaces(const alex::core::PartitionedAlex& alex) {
     mix(space.size());
     for (alex::core::PairKey pair : space.pairs()) {
       mix(pair);
-      const alex::core::FeatureSet* fs = space.FeaturesOf(pair);
-      for (const alex::core::FeatureValue& f : *fs) {
+      for (const alex::core::FeatureValue& f : space.FeaturesOf(pair)) {
         mix(f.key);
         uint64_t bits;
         static_assert(sizeof(bits) == sizeof(f.score));

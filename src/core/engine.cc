@@ -110,12 +110,9 @@ void AlexEngine::ProcessFeedback(const feedback::FeedbackItem& item) {
     candidates_.insert(state);
     blacklist_.erase(state);
     episode_states_.push_back(state);
-    const FeatureSet* actions = space_->FeaturesOf(state);
-    if (actions != nullptr) {
-      std::optional<FeatureKey> action =
-          policy_->ChooseAction(state, *actions, selectivity_prior_);
-      if (action.has_value()) Explore(state, *action);
-    }
+    std::optional<FeatureKey> action = policy_->ChooseAction(
+        state, space_->FeaturesOf(state), selectivity_prior_);
+    if (action.has_value()) Explore(state, *action);
     return;
   }
 
@@ -152,10 +149,8 @@ void AlexEngine::Explore(PairKey state, FeatureKey action) {
   ALEX_TRACE_SPAN("engine", "Explore");
   EngineMetrics& metrics = EngineMetrics::Get();
   metrics.explore_actions.Add(1);
-  const FeatureSet* features = space_->FeaturesOf(state);
-  if (features == nullptr) return;
   double score = -1.0;
-  for (const FeatureValue& f : *features) {
+  for (const FeatureValue& f : space_->FeaturesOf(state)) {
     if (f.key == action) {
       score = f.score;
       break;
@@ -189,14 +184,11 @@ void AlexEngine::Explore(PairKey state, FeatureKey action) {
     std::vector<std::pair<double, PairKey>> ranked;
     ranked.reserve(found.size());
     for (PairKey link : found) {
-      const FeatureSet* fs = space_->FeaturesOf(link);
       double link_score = 0.0;
-      if (fs != nullptr) {
-        for (const FeatureValue& f : *fs) {
-          if (f.key == action) {
-            link_score = f.score;
-            break;
-          }
+      for (const FeatureValue& f : space_->FeaturesOf(link)) {
+        if (f.key == action) {
+          link_score = f.score;
+          break;
         }
       }
       ranked.emplace_back(std::abs(link_score - score), link);

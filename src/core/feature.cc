@@ -13,12 +13,13 @@ namespace {
 /// (Section 4.1): per left attribute if the left entity has more
 /// attributes, else per right attribute, keeping the best-matching
 /// opposite attribute and dropping maxima below `theta`. `score_cell(li,
-/// rj)` scores one cell; `raw` is scratch, overwritten.
+/// rj)` scores one cell; `raw` is scratch, overwritten. Appends the feature
+/// set to `out` and returns its size.
 template <typename ScoreCell>
-FeatureSet ReduceSimilarityMatrix(const std::vector<rdf::Attribute>& la,
-                                  const std::vector<rdf::Attribute>& ra,
-                                  double theta, ScoreCell score_cell,
-                                  FeatureSet* raw) {
+size_t ReduceSimilarityMatrix(const std::vector<rdf::Attribute>& la,
+                              const std::vector<rdf::Attribute>& ra,
+                              double theta, ScoreCell score_cell,
+                              FeatureSet* raw, FeatureSet* out) {
   raw->clear();
   const bool reduce_rows = la.size() >= ra.size();
   const size_t outer = reduce_rows ? la.size() : ra.size();
@@ -48,11 +49,11 @@ FeatureSet ReduceSimilarityMatrix(const std::vector<rdf::Attribute>& la,
                                          const FeatureValue& b) {
     return a.key != b.key ? a.key < b.key : a.score > b.score;
   });
-  FeatureSet out;
+  const size_t before = out->size();
   for (const FeatureValue& f : *raw) {
-    if (out.empty() || out.back().key != f.key) out.push_back(f);
+    if (out->size() == before || out->back().key != f.key) out->push_back(f);
   }
-  return out;
+  return out->size() - before;
 }
 
 std::vector<sim::TypedValue> ParseValues(
@@ -75,21 +76,22 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
   if (la.empty() || ra.empty()) return {};
   const std::vector<sim::TypedValue> lv = ParseValues(left, la);
   const std::vector<sim::TypedValue> rv = ParseValues(right, ra);
-  FeatureSet raw;
-  return ReduceSimilarityMatrix(
+  FeatureSet raw, out;
+  ReduceSimilarityMatrix(
       la, ra, theta,
       [&](size_t li, size_t rj) { return sim::ValueSimilarity(lv[li], rv[rj]); },
-      &raw);
+      &raw, &out);
+  return out;
 }
 
-FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
-                             const rdf::Dataset& right, rdf::EntityId right_e,
-                             double theta, const ValueCache& left_values,
-                             const ValueCache& right_values,
-                             FeatureScratch* scratch) {
+size_t AppendFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
+                        const rdf::Dataset& right, rdf::EntityId right_e,
+                        double theta, const ValueCache& left_values,
+                        const ValueCache& right_values,
+                        FeatureScratch* scratch, FeatureSet* out) {
   const auto& la = left.attributes(left_e);
   const auto& ra = right.attributes(right_e);
-  if (la.empty() || ra.empty()) return {};
+  if (la.empty() || ra.empty()) return 0;
   return ReduceSimilarityMatrix(
       la, ra, theta,
       [&](size_t li, size_t rj) {
@@ -100,7 +102,7 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
             left_values.profile(lt), right_values.profile(rt),
             &scratch->cells);
       },
-      &scratch->raw);
+      &scratch->raw, out);
 }
 
 std::string FeatureName(const rdf::Dataset& left, const rdf::Dataset& right,

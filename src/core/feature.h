@@ -40,11 +40,11 @@ struct FeatureValue {
 /// maxima otherwise). Sorted by key; one entry per distinct attribute pair.
 using FeatureSet = std::vector<FeatureValue>;
 
-/// Reusable buffer for the cached ComputeFeatureSet. A link-space build
-/// scores hundreds of thousands of candidate pairs; without a scratch every
-/// call allocates its raw-feature vector anew. One scratch per
-/// (single-threaded) build loop; `raw` is overwritten per call, `cells`
-/// accumulates the similarity-matrix cells of every call.
+/// Reusable buffer for AppendFeatureSet. A link-space build scores
+/// hundreds of thousands of candidate pairs; without a scratch every call
+/// allocates its raw-feature vector anew. One scratch per (single-threaded)
+/// build loop; `raw` is overwritten per call, `cells` accumulates the
+/// similarity-matrix cells of every call.
 struct FeatureScratch {
   FeatureSet raw;
   sim::CellCounts cells;
@@ -58,17 +58,17 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
                              const rdf::Dataset& right, rdf::EntityId right_e,
                              double theta);
 
-/// Cache-aware variant used by the link-space build: attribute values and
-/// their string profiles come from the per-dataset ValueCaches instead of
-/// being re-parsed per candidate pair, and every similarity-matrix cell
-/// runs the profile-accelerated sim::ValueSimilarity, counted in
-/// `scratch->cells`. Produces the same feature sets as the uncached
-/// overload above.
-FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
-                             const rdf::Dataset& right, rdf::EntityId right_e,
-                             double theta, const ValueCache& left_values,
-                             const ValueCache& right_values,
-                             FeatureScratch* scratch);
+/// The link-space build's form of ComputeFeatureSet: appends the same
+/// feature set to `out` and returns the number of entries appended (0 when
+/// the pair is θ-filtered). Attribute values and their string profiles come
+/// from the per-dataset ValueCaches instead of being re-parsed per
+/// candidate pair, and every similarity-matrix cell runs the
+/// profile-accelerated sim::ValueSimilarity, counted in `scratch->cells`.
+size_t AppendFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
+                        const rdf::Dataset& right, rdf::EntityId right_e,
+                        double theta, const ValueCache& left_values,
+                        const ValueCache& right_values,
+                        FeatureScratch* scratch, FeatureSet* out);
 
 /// Human-readable feature name, e.g. "(name, label)".
 std::string FeatureName(const rdf::Dataset& left, const rdf::Dataset& right,

@@ -2,8 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <limits>
 
+#include "common/logging.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -45,28 +48,22 @@ uint64_t EffectiveBlockCap(uint64_t total_possible, size_t max_block_pairs) {
 }  // namespace
 
 void LinkSpace::Reset(uint64_t total_possible) {
-  index_.clear();
+  lefts_.clear();
+  left_begin_.clear();
   pairs_.clear();
-  feature_sets_.clear();
+  feature_begin_.assign(1, 0);
+  features_.clear();
   feature_index_.clear();
   stats_ = BuildStats{};
   stats_.total_possible = total_possible;
 }
 
-void LinkSpace::KeepIfNonEmpty(PairKey pair, FeatureSet fs) {
-  if (fs.empty()) return;
-  const uint32_t ordinal = static_cast<uint32_t>(pairs_.size());
-  index_.emplace(pair, ordinal);
-  pairs_.push_back(pair);
-  feature_sets_.push_back(std::move(fs));
-}
-
 void LinkSpace::FinalizeFeatureIndex() {
   stats_.kept_pairs = pairs_.size();
+  stats_.features_indexed = features_.size();
   for (uint32_t ordinal = 0; ordinal < pairs_.size(); ++ordinal) {
-    for (const FeatureValue& f : feature_sets_[ordinal]) {
+    for (const FeatureValue& f : Features(ordinal)) {
       feature_index_[f.key].emplace_back(static_cast<float>(f.score), ordinal);
-      ++stats_.features_indexed;
     }
   }
   max_feature_count_ = 0;
@@ -80,6 +77,13 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
                       const std::vector<EntityId>& left_entities, double theta,
                       size_t max_block_pairs, const BuildResources& res) {
   ALEX_TRACE_SPAN("build", "LinkSpace::Build");
+  // FeaturesOf binary-searches the left list. A caller bug, so it aborts
+  // in every build type rather than return a Status.
+  if (std::adjacent_find(left_entities.begin(), left_entities.end(),
+                         std::greater_equal<>()) != left_entities.end()) {
+    ALEX_LOG(kError) << "LinkSpace::Build: left_entities not ascending";
+    std::abort();
+  }
   SpaceMetrics& metrics = SpaceMetrics::Get();
   obs::ScopedTimer build_timer(metrics.build_seconds);
   Reset(static_cast<uint64_t>(left_entities.size()) *
@@ -118,6 +122,7 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
   for (size_t i = 0; i < left_entities.size(); ++i) {
     const EntityId l = left_entities[i];
     const uint32_t stamp = static_cast<uint32_t>(i + 1);
+    left_begin_.push_back(static_cast<uint32_t>(pairs_.size()));
     res.left_keys->EntityKeys(l, &entity_keys);
     for (BlockKey key : entity_keys) {
       const std::vector<EntityId>* block = res.right_index->block(key);
@@ -131,13 +136,17 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
         if (evaluated_by[r] == stamp) continue;
         evaluated_by[r] = stamp;
         ++candidate_pairs;
-        KeepIfNonEmpty(feedback::PackPair(l, r),
-                       ComputeFeatureSet(left, l, right, r, theta,
-                                         *res.left_values, *res.right_values,
-                                         &scratch));
+        // θ filter: a pair is kept iff it has a feature.
+        if (AppendFeatureSet(left, l, right, r, theta, *res.left_values,
+                             *res.right_values, &scratch, &features_) > 0) {
+          pairs_.push_back(feedback::PackPair(l, r));
+          feature_begin_.push_back(static_cast<uint32_t>(features_.size()));
+        }
       }
     }
   }
+  lefts_ = left_entities;
+  left_begin_.push_back(static_cast<uint32_t>(pairs_.size()));
   stats_.candidate_pairs = candidate_pairs;
   stats_.cells_scored = scratch.cells.scored;
   stats_.cells_skipped = scratch.cells.skipped;
@@ -157,10 +166,15 @@ void LinkSpace::Build(const Dataset& left, const Dataset& right,
         BuildResources{&right_index, &left_keys, &left_values, &right_values});
 }
 
-const FeatureSet* LinkSpace::FeaturesOf(PairKey pair) const {
-  auto it = index_.find(pair);
-  if (it == index_.end()) return nullptr;
-  return &feature_sets_[it->second];
+std::span<const FeatureValue> LinkSpace::FeaturesOf(PairKey pair) const {
+  const auto it =
+      std::lower_bound(lefts_.begin(), lefts_.end(), feedback::PairLeft(pair));
+  if (it == lefts_.end() || *it != feedback::PairLeft(pair)) return {};
+  const size_t i = static_cast<size_t>(it - lefts_.begin());
+  for (uint32_t o = left_begin_[i]; o < left_begin_[i + 1]; ++o) {
+    if (pairs_[o] == pair) return Features(o);
+  }
+  return {};
 }
 
 void LinkSpace::BandQuery(FeatureKey f, double lo, double hi,

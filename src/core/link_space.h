@@ -2,6 +2,7 @@
 #define ALEX_CORE_LINK_SPACE_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -33,6 +34,11 @@ using feedback::PairKey;
 /// right dataset and shared read-only across partitions, so P partitions no
 /// longer re-invert the right dataset P times.
 ///
+/// Each kept pair is stored once, in `pairs_` in the order the build kept
+/// it (its ordinal). Left entity `lefts_[i]`'s pairs are the ordinals
+/// [left_begin_[i], left_begin_[i + 1]), and pair `o`'s features are
+/// `features_[feature_begin_[o], feature_begin_[o + 1])`.
+///
 /// Thread-compatible after Build(): all queries are const.
 class LinkSpace {
  public:
@@ -55,11 +61,11 @@ class LinkSpace {
   LinkSpace() = default;
 
   /// Builds the space between `left_entities` (a partition of the left
-  /// dataset, no entity listed twice) and all entities of `right`, using
-  /// shared read-only build resources (right-dataset blocking index,
-  /// term-key and value caches). All of `res`'s members must be non-null,
-  /// built from these datasets, and outlive the call. Datasets are borrowed
-  /// and must outlive the LinkSpace.
+  /// dataset, strictly ascending, else the process aborts) and
+  /// all entities of `right`, using shared read-only build resources
+  /// (right-dataset blocking index, term-key and value caches). All of
+  /// `res`'s members must be non-null, built from these datasets, and
+  /// outlive the call. Datasets are borrowed and must outlive the LinkSpace.
   void Build(const rdf::Dataset& left, const rdf::Dataset& right,
              const std::vector<rdf::EntityId>& left_entities, double theta,
              size_t max_block_pairs, const BuildResources& res);
@@ -72,10 +78,12 @@ class LinkSpace {
              const std::vector<rdf::EntityId>& left_entities, double theta,
              size_t max_block_pairs);
 
-  bool Contains(PairKey pair) const { return index_.count(pair) > 0; }
+  bool Contains(PairKey pair) const { return !FeaturesOf(pair).empty(); }
 
-  /// Feature set of a pair, or nullptr if the pair is not in the space.
-  const FeatureSet* FeaturesOf(PairKey pair) const;
+  /// Feature set of a pair (sorted by key), or an empty span if the pair is
+  /// not in the space: a binary search for the left entity, then a scan of
+  /// its short run of pairs. Valid until the next Build.
+  std::span<const FeatureValue> FeaturesOf(PairKey pair) const;
 
   /// Appends to `out` every pair whose score on feature `f` lies in
   /// [lo, hi] (inclusive). Bounds are compared in double precision against
@@ -107,14 +115,19 @@ class LinkSpace {
  private:
   /// Clears all state and seeds stats with the unfiltered space size.
   void Reset(uint64_t total_possible);
-  /// Admits one evaluated pair: θ-filters and stores its feature set.
-  void KeepIfNonEmpty(PairKey pair, FeatureSet fs);
   /// Builds the per-feature sorted score index over the kept pairs.
   void FinalizeFeatureIndex();
+  /// Feature set of the pair with ordinal `ordinal`.
+  std::span<const FeatureValue> Features(uint32_t ordinal) const {
+    return {features_.data() + feature_begin_[ordinal],
+            features_.data() + feature_begin_[ordinal + 1]};
+  }
 
-  std::unordered_map<PairKey, uint32_t> index_;
+  std::vector<rdf::EntityId> lefts_;  ///< The build's left list.
+  std::vector<uint32_t> left_begin_;  ///< One per left, plus one.
   std::vector<PairKey> pairs_;
-  std::vector<FeatureSet> feature_sets_;
+  std::vector<uint32_t> feature_begin_;  ///< One per pair, plus one.
+  std::vector<FeatureValue> features_;
   /// Per feature: (score, pair ordinal), sorted by score.
   std::unordered_map<FeatureKey, std::vector<std::pair<float, uint32_t>>>
       feature_index_;

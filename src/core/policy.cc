@@ -7,7 +7,8 @@
 namespace alex::core {
 
 std::optional<FeatureKey> EpsilonGreedyPolicy::ChooseAction(
-    PairKey state, const FeatureSet& actions, const ActionPrior& prior) {
+    PairKey state, std::span<const FeatureValue> actions,
+    const ActionPrior& prior) {
   if (actions.empty()) return std::nullopt;
 
   // ε branch: uniform random exploration.

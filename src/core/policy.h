@@ -5,6 +5,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -81,7 +82,7 @@ class Policy {
   /// `actions` is empty. Every action must keep π(s,a) > 0 (continuous
   /// exploration, Section 4.4.1).
   virtual std::optional<FeatureKey> ChooseAction(
-      PairKey state, const FeatureSet& actions,
+      PairKey state, std::span<const FeatureValue> actions,
       const ActionPrior& prior = {}) = 0;
 
   /// Appends a Monte Carlo return to Returns(s,a) and refreshes Q(s,a)
@@ -148,7 +149,7 @@ class EpsilonGreedyPolicy final : public Policy {
   /// seeded, so runs are reproducible). With probability ε a uniformly
   /// random action is taken, so every action has π(s,a) ≥ ε/|A(s)| > 0.
   std::optional<FeatureKey> ChooseAction(PairKey state,
-                                         const FeatureSet& actions,
+                                         std::span<const FeatureValue> actions,
                                          const ActionPrior& prior = {}) override;
 
   void RecordReturn(const StateAction& sa, double reward) override;

@@ -4,7 +4,6 @@
 #include <numeric>
 #include <unordered_map>
 
-#include "exec/arena.h"
 #include "rdf/block_format.h"
 
 namespace alex::rdf {
@@ -33,15 +32,8 @@ CompactDictionary CompactDictionary::Build(const Dictionary& dict) {
     out.pos_of_id_[out.sorted_ids_[pos]] = static_cast<uint32_t>(pos);
   }
 
-  // Build-phase scratch: the side-string dedup map dies with this call, so
-  // its nodes bump-allocate from a local arena (key strings still own their
-  // heap storage; only the map nodes and bucket arrays land in the arena).
-  exec::ArenaAllocator scratch_arena;
-  using SideAlloc = exec::ArenaStl<std::pair<const std::string, uint32_t>>;
-  std::unordered_map<std::string, uint32_t, std::hash<std::string>,
-                     std::equal_to<std::string>, SideAlloc>
-      side(/*bucket_count=*/0, std::hash<std::string>(),
-           std::equal_to<std::string>(), SideAlloc(&scratch_arena));
+  // Side-string (datatype, language tag) dedup map.
+  std::unordered_map<std::string, uint32_t> side;
   auto side_index = [&out, &side](const std::string& s) -> uint64_t {
     if (s.empty()) return 0;
     auto it = side.find(s);

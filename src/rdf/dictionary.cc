@@ -4,27 +4,13 @@ namespace alex::rdf {
 
 Dictionary::Dictionary()
     : terms_(std::make_unique<std::vector<Term>>()),
-      index_arena_(std::make_unique<exec::ArenaAllocator>()),
-      index_(0, IdHash{terms_.get()}, IdEq{terms_.get()},
-             exec::ArenaStl<TermId>(index_arena_.get())) {}
+      index_(0, IdHash{terms_.get()}, IdEq{terms_.get()}) {}
 
 Dictionary::Dictionary(const Dictionary& other)
     : terms_(std::make_unique<std::vector<Term>>(*other.terms_)),
-      index_arena_(std::make_unique<exec::ArenaAllocator>()),
       index_(other.index_.begin(), other.index_.end(),
              other.index_.bucket_count(), IdHash{terms_.get()},
-             IdEq{terms_.get()}, exec::ArenaStl<TermId>(index_arena_.get())) {}
-
-Dictionary& Dictionary::operator=(Dictionary&& other) noexcept {
-  if (this == &other) return *this;
-  // Release our nodes while our arena is still alive (the set's allocator
-  // propagates on move assignment, so this also adopts other's allocator),
-  // and only then let our old arena die with the unique_ptr assignment.
-  index_ = std::move(other.index_);
-  terms_ = std::move(other.terms_);
-  index_arena_ = std::move(other.index_arena_);
-  return *this;
-}
+             IdEq{terms_.get()}) {}
 
 Dictionary& Dictionary::operator=(const Dictionary& other) {
   if (this == &other) return *this;
@@ -54,10 +40,10 @@ size_t Dictionary::ApproxMemoryBytes() const {
   for (const Term& t : *terms_) {
     total += t.value.capacity() + t.datatype.capacity() + t.language.capacity();
   }
-  // The index's nodes and bucket arrays (including arrays abandoned by
-  // rehashes) all live in the arena, so its reservation is the exact
-  // resident footprint of the id index.
-  total += index_arena_->bytes_reserved();
+  // The id index: its bucket array, and one node per term holding a next
+  // pointer, the id and the cached hash.
+  total += index_.bucket_count() * sizeof(void*);
+  total += index_.size() * (sizeof(void*) + sizeof(TermId) + sizeof(size_t));
   return total;
 }
 

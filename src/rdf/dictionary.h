@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <vector>
 
-#include "exec/arena.h"
 #include "rdf/term.h"
 
 namespace alex::rdf {
@@ -32,10 +31,7 @@ class Dictionary {
   // Moving the unique_ptr keeps the term vector's address stable, so the
   // index functors' pointer stays valid.
   Dictionary(Dictionary&&) noexcept = default;
-  // Not defaulted: member-wise assignment would replace index_arena_ (and
-  // destroy the arena the current index_ lives in) before index_ itself is
-  // assigned. The definition empties index_ first.
-  Dictionary& operator=(Dictionary&&) noexcept;
+  Dictionary& operator=(Dictionary&&) noexcept = default;
 
   /// Returns the id for `term`, interning it if new.
   TermId Intern(const Term& term);
@@ -76,14 +72,7 @@ class Dictionary {
 
   /// Behind a unique_ptr so the functors' pointer survives moves.
   std::unique_ptr<std::vector<Term>> terms_;
-  /// Backs the id index: interning a large dataset makes one node allocation
-  /// per distinct term, which the arena turns into pointer bumps (and frees
-  /// all at once with the dictionary). Behind a unique_ptr so moves keep the
-  /// index's allocations valid. Declared before index_ (destroyed after it).
-  std::unique_ptr<exec::ArenaAllocator> index_arena_;
-  /// Rehashing abandons the old bucket array inside the arena; that waste is
-  /// geometric in the final size, the same bound std::vector growth accepts.
-  std::unordered_set<TermId, IdHash, IdEq, exec::ArenaStl<TermId>> index_;
+  std::unordered_set<TermId, IdHash, IdEq> index_;
 };
 
 }  // namespace alex::rdf

@@ -23,7 +23,7 @@ double AdaptiveFeaturePolicy::SuccessRate(core::FeatureKey feature) const {
 }
 
 std::optional<core::FeatureKey> AdaptiveFeaturePolicy::ChooseAction(
-    core::PairKey state, const core::FeatureSet& actions,
+    core::PairKey state, std::span<const core::FeatureValue> actions,
     const core::ActionPrior& prior) {
   if (actions.empty()) return std::nullopt;
 

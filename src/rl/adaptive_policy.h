@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -51,7 +52,7 @@ class AdaptiveFeaturePolicy final : public core::Policy {
   }
 
   std::optional<core::FeatureKey> ChooseAction(
-      core::PairKey state, const core::FeatureSet& actions,
+      core::PairKey state, std::span<const core::FeatureValue> actions,
       const core::ActionPrior& prior = {}) override;
 
   void RecordReturn(const core::StateAction& sa, double reward) override;

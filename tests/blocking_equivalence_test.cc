@@ -55,7 +55,7 @@ uint64_t SpaceDigest(const LinkSpace& space) {
   }
   for (PairKey key : SortedPairs(space)) {
     w.WriteU64(key);
-    const FeatureSet& fs = *space.FeaturesOf(key);
+    const std::span<const FeatureValue> fs = space.FeaturesOf(key);
     w.WriteU64(fs.size());
     for (const FeatureValue& v : fs) {
       w.WriteU64(v.key);
@@ -71,7 +71,7 @@ uint64_t SpaceDigest(const LinkSpace& space) {
 void ExpectMatchesDirect(const datagen::GeneratedPair& pair,
                          const LinkSpace& space, double theta) {
   for (PairKey key : space.pairs()) {
-    const FeatureSet& built = *space.FeaturesOf(key);
+    const std::span<const FeatureValue> built = space.FeaturesOf(key);
     const FeatureSet direct =
         ComputeFeatureSet(pair.left, feedback::PairLeft(key), pair.right,
                           feedback::PairRight(key), theta);

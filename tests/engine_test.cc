@@ -177,9 +177,10 @@ TEST_F(EngineTest, FirstVisitMonteCarloCreditsGenerators) {
   engine.ProcessFeedback(Positive(L(0), R(0)));
   // Feedback on an explored link credits the generating state-action pair.
   engine.ProcessFeedback(Positive(L(1), R(1)));
-  const FeatureSet* fs = space_.FeaturesOf(PackPair(L(0), R(0)));
-  ASSERT_NE(fs, nullptr);
-  const StateAction generator{PackPair(L(0), R(0)), (*fs)[0].key};
+  const std::span<const FeatureValue> fs =
+      space_.FeaturesOf(PackPair(L(0), R(0)));
+  ASSERT_FALSE(fs.empty());
+  const StateAction generator{PackPair(L(0), R(0)), fs[0].key};
   auto q = engine.policy().Q(generator);
   ASSERT_TRUE(q.has_value());
   EXPECT_DOUBLE_EQ(*q, 1.0);
@@ -200,8 +201,9 @@ TEST_F(EngineTest, NewEpisodeResetsFirstVisit) {
   engine.EndEpisode();
   // In a fresh episode the same state counts as a new first visit.
   engine.ProcessFeedback(Positive(L(1), R(1)));
-  const FeatureSet* fs = space_.FeaturesOf(PackPair(L(0), R(0)));
-  const StateAction generator{PackPair(L(0), R(0)), (*fs)[0].key};
+  const std::span<const FeatureValue> fs =
+      space_.FeaturesOf(PackPair(L(0), R(0)));
+  const StateAction generator{PackPair(L(0), R(0)), fs[0].key};
   EXPECT_DOUBLE_EQ(*engine.policy().Q(generator), 1.0);  // Two +1 returns.
 }
 
