@@ -101,31 +101,6 @@ struct AlexConfig {
   /// candidate cross-product exceeds this is treated as a stop value.
   size_t max_block_pairs = 20000;
 
-  /// Triple storage backend for the scenario's datasets.
-  ///  - kUncompressed: TripleStore's three sorted Triple vectors (fastest
-  ///    lookups, ~36 bytes/triple; the equivalence reference).
-  ///  - kCompressed: block-compressed columnar storage held in RAM
-  ///    (delta+varint blocks, typically well under half the bytes/triple).
-  ///  - kCompressedDisk: same blocks serialized to one file per dataset and
-  ///    read back through a bounded LRU block cache.
-  enum class StorageBackend : uint8_t {
-    kUncompressed = 0,
-    kCompressed = 1,
-    kCompressedDisk = 2,
-  };
-  StorageBackend storage_backend = StorageBackend::kUncompressed;
-
-  /// Triples per compressed block (compressed backends only).
-  size_t storage_block_size = 1024;
-
-  /// Decoded-block LRU budget for the disk tier, in bytes.
-  size_t storage_cache_budget_bytes = 64ull << 20;
-
-  /// Directory for the disk tier's block files ("." components of dataset
-  /// names are sanitized away by the simulation driver).
-  /// Empty = current working directory.
-  std::string storage_disk_dir;
-
   /// Action-selection policy, by registry type tag (core/policy.h).
   /// "epsilon-greedy" (built-in, the paper's policy) or any tag registered
   /// by a linked library — e.g. "adaptive-feature" after calling

@@ -158,16 +158,18 @@ void AlexEngine::Explore(PairKey state, FeatureKey action) {
   }
   if (score < 0.0) return;
 
-  std::vector<PairKey> found;
+  std::vector<uint32_t> banded;
   space_->BandQuery(action, score - config_.step_size,
-                    score + config_.step_size, &found);
+                    score + config_.step_size, &banded);
+  const std::vector<PairKey>& pairs = space_->pairs();
 
   // Keep only genuinely new links: not the approved link itself, not
   // blacklisted (Section 6.3), not already candidates. A blacklist hit —
   // the blacklist suppressing a re-proposal — is the optimization's win,
   // so it is counted.
   size_t blacklist_hits = 0;
-  std::erase_if(found, [&](PairKey link) {
+  std::erase_if(banded, [&](uint32_t ordinal) {
+    const PairKey link = pairs[ordinal];
     if (link == state) return true;
     if (blacklist_.count(link) > 0) {
       ++blacklist_hits;
@@ -180,24 +182,28 @@ void AlexEngine::Explore(PairKey state, FeatureKey action) {
   // Bound the action's yield, preferring scores nearest the approved
   // link's: a non-distinctive feature can match thousands of pairs.
   const size_t action_cap = config_.EffectiveMaxLinksPerAction();
-  if (found.size() > action_cap) {
+  std::vector<PairKey> found;
+  if (banded.size() > action_cap) {
     std::vector<std::pair<double, PairKey>> ranked;
-    ranked.reserve(found.size());
-    for (PairKey link : found) {
+    ranked.reserve(banded.size());
+    for (uint32_t ordinal : banded) {
       double link_score = 0.0;
-      for (const FeatureValue& f : space_->FeaturesOf(link)) {
+      for (const FeatureValue& f : space_->Features(ordinal)) {
         if (f.key == action) {
           link_score = f.score;
           break;
         }
       }
-      ranked.emplace_back(std::abs(link_score - score), link);
+      ranked.emplace_back(std::abs(link_score - score), pairs[ordinal]);
     }
     std::nth_element(ranked.begin(), ranked.begin() + action_cap,
                      ranked.end());
     ranked.resize(action_cap);
-    found.clear();
+    found.reserve(action_cap);
     for (const auto& [dist, link] : ranked) found.push_back(link);
+  } else {
+    found.reserve(banded.size());
+    for (uint32_t ordinal : banded) found.push_back(pairs[ordinal]);
   }
 
   const StateAction generator{state, action};

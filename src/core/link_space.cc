@@ -178,7 +178,7 @@ std::span<const FeatureValue> LinkSpace::FeaturesOf(PairKey pair) const {
 }
 
 void LinkSpace::BandQuery(FeatureKey f, double lo, double hi,
-                          std::vector<PairKey>* out) const {
+                          std::vector<uint32_t>* out) const {
   SpaceMetrics& metrics = SpaceMetrics::Get();
   metrics.band_queries.Add(1);
   auto it = feature_index_.find(f);
@@ -199,7 +199,7 @@ void LinkSpace::BandQuery(FeatureKey f, double lo, double hi,
     const double score = static_cast<double>(cur->first);
     if (score > hi) break;
     if (score < lo) continue;
-    out->push_back(pairs_[cur->second]);
+    out->push_back(cur->second);
   }
   metrics.band_results.Add(out->size() - out_before);
 }

@@ -85,12 +85,18 @@ class LinkSpace {
   /// its short run of pairs. Valid until the next Build.
   std::span<const FeatureValue> FeaturesOf(PairKey pair) const;
 
-  /// Appends to `out` every pair whose score on feature `f` lies in
-  /// [lo, hi] (inclusive). Bounds are compared in double precision against
-  /// the stored float scores, so a pair just outside [lo, hi] is never
-  /// admitted by float rounding.
+  /// Appends to `out` the ordinal of every pair whose score on feature `f`
+  /// lies in [lo, hi] (inclusive); `pairs()[ordinal]` is the pair. Bounds
+  /// are compared in double precision against the stored float scores, so
+  /// a pair just outside [lo, hi] is never admitted by float rounding.
   void BandQuery(FeatureKey f, double lo, double hi,
-                 std::vector<PairKey>* out) const;
+                 std::vector<uint32_t>* out) const;
+
+  /// Feature set (sorted by key) of the pair with ordinal `ordinal`.
+  std::span<const FeatureValue> Features(uint32_t ordinal) const {
+    return {features_.data() + feature_begin_[ordinal],
+            features_.data() + feature_begin_[ordinal + 1]};
+  }
 
   /// Number of pairs in the space.
   size_t size() const { return pairs_.size(); }
@@ -117,11 +123,6 @@ class LinkSpace {
   void Reset(uint64_t total_possible);
   /// Builds the per-feature sorted score index over the kept pairs.
   void FinalizeFeatureIndex();
-  /// Feature set of the pair with ordinal `ordinal`.
-  std::span<const FeatureValue> Features(uint32_t ordinal) const {
-    return {features_.data() + feature_begin_[ordinal],
-            features_.data() + feature_begin_[ordinal + 1]};
-  }
 
   std::vector<rdf::EntityId> lefts_;  ///< The build's left list.
   std::vector<uint32_t> left_begin_;  ///< One per left, plus one.

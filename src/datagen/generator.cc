@@ -442,81 +442,4 @@ GeneratedPair GenerateScenario(const ScenarioConfig& config) {
   return pair;
 }
 
-std::vector<rdf::Triple> GenerateTripleWorkload(
-    const TripleWorkloadConfig& config) {
-  const size_t n = config.num_triples;
-  const size_t num_subjects =
-      config.num_subjects != 0 ? config.num_subjects : std::max<size_t>(1, n / 10);
-  const size_t num_predicates = std::max<size_t>(1, config.num_predicates);
-  const size_t num_objects =
-      config.num_objects != 0 ? config.num_objects : std::max<size_t>(1, n / 5);
-
-  // Id layout mirrors a loader interning schema terms first: predicates get
-  // the smallest ids (1-byte varints in compressed blocks), then subjects,
-  // then objects.
-  const rdf::TermId subject_base = static_cast<rdf::TermId>(num_predicates);
-  const rdf::TermId object_base =
-      static_cast<rdf::TermId>(num_predicates + num_subjects);
-
-  Rng rng(config.seed);
-  std::vector<rdf::Triple> triples;
-  triples.reserve(n + n / 8);
-  // Squaring a uniform draw skews toward low indexes (popular entities)
-  // without a per-draw Zipf table.
-  auto skewed = [&rng](size_t limit) {
-    const double u = rng.UniformDouble();
-    return static_cast<size_t>(u * u * static_cast<double>(limit));
-  };
-  // Oversample, then dedup down: duplicates are rare enough (skew aside)
-  // that this lands close to the requested count.
-  const size_t target = n + n / 8;
-  for (size_t i = 0; i < target; ++i) {
-    triples.push_back(rdf::Triple{
-        static_cast<rdf::TermId>(subject_base + skewed(num_subjects)),
-        static_cast<rdf::TermId>(rng.UniformInt(num_predicates)),
-        static_cast<rdf::TermId>(object_base + skewed(num_objects))});
-  }
-  std::sort(triples.begin(), triples.end());
-  triples.erase(std::unique(triples.begin(), triples.end()), triples.end());
-  if (triples.size() > n) triples.resize(n);
-  // Shuffle back so the consumer sees insertion order, not sorted order.
-  rng.Shuffle(&triples);
-  return triples;
-}
-
-std::vector<rdf::TriplePattern> GeneratePatternWorkload(
-    const std::vector<rdf::Triple>& triples, size_t count, uint64_t seed) {
-  std::vector<rdf::TriplePattern> patterns;
-  patterns.reserve(count);
-  if (triples.empty()) return patterns;
-  Rng rng(seed);
-  const rdf::TermId kAny = rdf::kInvalidTermId;
-  for (size_t i = 0; i < count; ++i) {
-    const rdf::Triple& t = triples[rng.UniformInt(triples.size())];
-    // Shape mix (cumulative %): s?? 20, ?p? 10, ??o 15, sp? 20, ?po 15,
-    // s?o 10, spo 5, guaranteed miss 5.
-    const uint64_t roll = rng.UniformInt(100);
-    if (roll < 20) {
-      patterns.push_back({t.subject, kAny, kAny});
-    } else if (roll < 30) {
-      patterns.push_back({kAny, t.predicate, kAny});
-    } else if (roll < 45) {
-      patterns.push_back({kAny, kAny, t.object});
-    } else if (roll < 65) {
-      patterns.push_back({t.subject, t.predicate, kAny});
-    } else if (roll < 80) {
-      patterns.push_back({kAny, t.predicate, t.object});
-    } else if (roll < 90) {
-      patterns.push_back({t.subject, kAny, t.object});
-    } else if (roll < 95) {
-      patterns.push_back({t.subject, t.predicate, t.object});
-    } else {
-      // kInvalidTermId - 1 is never assigned by GenerateTripleWorkload's id
-      // layout, so this subject cannot match.
-      patterns.push_back({rdf::kInvalidTermId - 1, t.predicate, kAny});
-    }
-  }
-  return patterns;
-}
-
 }  // namespace alex::datagen

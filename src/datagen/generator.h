@@ -83,33 +83,6 @@ std::vector<std::string> DomainNames();
 /// the ground truth refers to their EntityIds.
 GeneratedPair GenerateScenario(const ScenarioConfig& config);
 
-/// Profile of a synthetic dictionary-encoded triple workload for the
-/// storage layer (bench_storage and the storage tests). Ids are laid out
-/// the way a real loader's interning order produces them: predicates first
-/// (small, dense — one varint byte in the compressed blocks), then
-/// subjects, then objects.
-struct TripleWorkloadConfig {
-  uint64_t seed = 42;
-  size_t num_triples = 1000000;
-  /// 0 = num_triples / 10.
-  size_t num_subjects = 0;
-  size_t num_predicates = 64;
-  /// 0 = num_triples / 5. Object ids start after subjects.
-  size_t num_objects = 0;
-};
-
-/// Generates a deduplicated, skewed triple workload (Zipf-ish: popular
-/// subjects/objects appear far more often). Deterministic per seed. The
-/// result is unsorted; stores sort internally.
-std::vector<rdf::Triple> GenerateTripleWorkload(
-    const TripleWorkloadConfig& config);
-
-/// Generates `count` lookup patterns over `triples` with a fixed shape mix
-/// ((s,?,?), (?,p,?), (s,p,?), bound-object shapes, full triples, plus a
-/// slice of guaranteed misses). Deterministic per seed.
-std::vector<rdf::TriplePattern> GeneratePatternWorkload(
-    const std::vector<rdf::Triple>& triples, size_t count, uint64_t seed);
-
 }  // namespace alex::datagen
 
 #endif  // ALEX_DATAGEN_GENERATOR_H_

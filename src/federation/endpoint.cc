@@ -3,7 +3,7 @@
 namespace alex::fed {
 
 Endpoint::Endpoint(const rdf::Dataset* dataset) : dataset_(dataset) {
-  for (rdf::TermId p : dataset_->source().DistinctPredicates()) {
+  for (rdf::TermId p : dataset_->store().DistinctPredicates()) {
     predicates_.insert(dataset_->dict().term(p).value);
   }
 }
@@ -32,7 +32,7 @@ Status Endpoint::Probe(const PatternProbe& probe, const CallOptions& /*opts*/,
     *slots[i] = *id;
   }
   const rdf::Dictionary& dict = dataset_->dict();
-  dataset_->source().ForEachMatch(pattern, [&](const rdf::Triple& t) {
+  dataset_->store().ForEachMatch(pattern, [&](const rdf::Triple& t) {
     const rdf::Term* s = probe.subject ? nullptr : &dict.term(t.subject);
     const rdf::Term* p = probe.predicate ? nullptr : &dict.term(t.predicate);
     const rdf::Term* o = probe.object ? nullptr : &dict.term(t.object);

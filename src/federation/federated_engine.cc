@@ -374,8 +374,6 @@ Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
   record.probe_cache_misses = active.probe_cache_misses;
   record.retries = active.retries;
   record.breaker_rejections = active.breaker_rejections;
-  record.block_cache_hits = active.block_cache_hits;
-  record.block_cache_misses = active.block_cache_misses;
   record.failed = !result.ok();
 
   if (result.ok()) {

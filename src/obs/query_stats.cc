@@ -84,8 +84,6 @@ void QueryLog::WriteSlowestJson(std::ostream& os,
        << ", \"probe_cache_misses\": " << q.probe_cache_misses
        << ", \"retries\": " << q.retries
        << ", \"breaker_rejections\": " << q.breaker_rejections
-       << ", \"block_cache_hits\": " << q.block_cache_hits
-       << ", \"block_cache_misses\": " << q.block_cache_misses
        << ", \"rows\": " << q.rows
        << ", \"degraded\": " << (q.degraded ? "true" : "false")
        << ", \"failed\": " << (q.failed ? "true" : "false") << "}";

@@ -12,13 +12,13 @@ namespace alex::obs {
 /// Per-query cost accounting for the federated stack.
 ///
 /// FederatedEngine opens a QueryStatsScope around each query; the endpoint
-/// decorators (probe cache, retry layer, circuit breaker) and the rdf block
-/// cache bump the thread's ActiveQueryStats as the query flows through
-/// them. On completion the engine folds the tallies into a QueryStats
-/// record and hands it to the global QueryLog, which keeps workload-level
-/// aggregates plus a bounded ring of the slowest queries — each carrying
-/// its trace id as an exemplar, so a slow entry in a telemetry sidecar
-/// links straight to its span tree in the Chrome trace.
+/// decorators (probe cache, retry layer, circuit breaker) bump the thread's
+/// ActiveQueryStats as the query flows through them. On completion the
+/// engine folds the tallies into a QueryStats record and hands it to the
+/// global QueryLog, which keeps workload-level aggregates plus a bounded
+/// ring of the slowest queries — each carrying its trace id as an exemplar,
+/// so a slow entry in a telemetry sidecar links straight to its span tree
+/// in the Chrome trace.
 ///
 /// Like the trace context, propagation is thread-local: one federated query
 /// executes entirely on one thread (the parallel workload path runs whole
@@ -32,8 +32,6 @@ struct ActiveQueryStats {
   uint64_t probe_cache_misses = 0;
   uint64_t retries = 0;
   uint64_t breaker_rejections = 0;
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
 };
 
 /// The tally of the innermost open QueryStatsScope on this thread, or
@@ -91,8 +89,6 @@ struct QueryStats {
   uint64_t probe_cache_misses = 0;
   uint64_t retries = 0;
   uint64_t breaker_rejections = 0;
-  uint64_t block_cache_hits = 0;
-  uint64_t block_cache_misses = 0;
   uint64_t rows = 0;
   bool degraded = false;
   bool failed = false;

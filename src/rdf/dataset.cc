@@ -7,7 +7,6 @@ namespace alex::rdf {
 void Dataset::AddLiteralTriple(const std::string& subject_iri,
                                const std::string& predicate_iri,
                                const Term& object) {
-  EnsureMutable();
   store_.Add(dict_.InternIri(subject_iri), dict_.InternIri(predicate_iri),
              dict_.Intern(object));
   entity_index_built_ = false;
@@ -16,46 +15,9 @@ void Dataset::AddLiteralTriple(const std::string& subject_iri,
 void Dataset::AddIriTriple(const std::string& subject_iri,
                            const std::string& predicate_iri,
                            const std::string& object_iri) {
-  EnsureMutable();
   store_.Add(dict_.InternIri(subject_iri), dict_.InternIri(predicate_iri),
              dict_.InternIri(object_iri));
   entity_index_built_ = false;
-}
-
-void Dataset::Compress(const CompressedStoreOptions& options) {
-  if (compressed_ != nullptr) return;
-  compressed_ = std::make_unique<CompressedTripleStore>(
-      CompressedTripleStore::Build(store_, options));
-  store_.Clear();
-}
-
-Status Dataset::CompressToDisk(const std::string& path,
-                               const CompressedStoreOptions& options) {
-  if (compressed_ != nullptr && compressed_->disk_backed()) {
-    return Status::InvalidArgument("dataset \"" + name_ +
-                                   "\" is already disk-backed");
-  }
-  if (compressed_ != nullptr) {
-    ALEX_RETURN_NOT_OK(compressed_->WriteFile(path));
-  } else {
-    ALEX_RETURN_NOT_OK(
-        CompressedTripleStore::Build(store_, options).WriteFile(path));
-  }
-  auto opened = CompressedTripleStore::OpenFile(path, options);
-  if (!opened.ok()) return opened.status();
-  compressed_ =
-      std::make_unique<CompressedTripleStore>(std::move(opened).value());
-  store_.Clear();
-  return Status::OK();
-}
-
-void Dataset::EnsureMutable() {
-  if (compressed_ == nullptr) return;
-  std::unique_ptr<CompressedTripleStore> frozen = std::move(compressed_);
-  frozen->ForEachMatch(TriplePattern{}, [this](const Triple& t) {
-    store_.Add(t);
-    return true;
-  });
 }
 
 void Dataset::BuildEntityIndex() {
@@ -69,14 +31,13 @@ void Dataset::EnsureEntityIndex() const {
   entity_attributes_.clear();
   term_to_entity_.clear();
 
-  const TripleSource& src = source();
-  for (TermId subject : src.DistinctSubjects()) {
+  for (TermId subject : store_.DistinctSubjects()) {
     if (!dict_.term(subject).is_iri()) continue;
     EntityId e = static_cast<EntityId>(entity_terms_.size());
     entity_terms_.push_back(subject);
     term_to_entity_.emplace(subject, e);
     std::vector<Attribute> attrs;
-    src.ForEachMatch(
+    store_.ForEachMatch(
         TriplePattern{subject, kInvalidTermId, kInvalidTermId},
         [&attrs](const Triple& t) {
           attrs.push_back(Attribute{t.predicate, t.object});

@@ -1,14 +1,11 @@
 #ifndef ALEX_RDF_DATASET_H_
 #define ALEX_RDF_DATASET_H_
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "common/status.h"
-#include "rdf/compressed_store.h"
 #include "rdf/dictionary.h"
 #include "rdf/triple_store.h"
 
@@ -47,37 +44,11 @@ class Dataset {
   Dictionary& dict() { return dict_; }
   const Dictionary& dict() const { return dict_; }
 
-  /// The mutable uncompressed store. Mutating through it decompresses the
-  /// dataset first, so the write lands in the active backend.
-  TripleStore& store() {
-    EnsureMutable();
-    return store_;
-  }
-  /// The uncompressed store; only meaningful while !is_compressed() (it is
-  /// emptied on Compress). Readers should prefer source().
+  /// The triples. SPARQL evaluation, federation probes and the entity index
+  /// all read through it. Adding through it does not invalidate an entity
+  /// index already built; call BuildEntityIndex() afterwards.
+  TripleStore& store() { return store_; }
   const TripleStore& store() const { return store_; }
-
-  /// The active read backend: the compressed store when present, else the
-  /// uncompressed TripleStore. All query paths (SPARQL evaluation,
-  /// federation probes, the entity index) go through this.
-  const TripleSource& source() const {
-    if (compressed_ != nullptr) return *compressed_;
-    return store_;
-  }
-
-  /// Swaps the storage backend to an in-memory CompressedTripleStore built
-  /// from the current triples, then releases the uncompressed indexes.
-  /// Queries are unaffected (same results through source()); subsequent
-  /// mutation transparently decompresses.
-  void Compress(const CompressedStoreOptions& options = {});
-
-  /// Like Compress, but serializes the blocks to `path` and reopens them as
-  /// the disk-backed tier (payloads on disk, pulled through the LRU cache).
-  Status CompressToDisk(const std::string& path,
-                        const CompressedStoreOptions& options = {});
-
-  bool is_compressed() const { return compressed_ != nullptr; }
-  const CompressedTripleStore* compressed() const { return compressed_.get(); }
 
   /// Convenience: intern and add one triple with a literal object.
   void AddLiteralTriple(const std::string& subject_iri,
@@ -110,16 +81,14 @@ class Dataset {
   const std::vector<Attribute>& attributes(EntityId e) const;
 
   /// Total triple count.
-  size_t num_triples() const { return source().size(); }
+  size_t num_triples() const { return store_.size(); }
 
  private:
   void EnsureEntityIndex() const;
-  void EnsureMutable();
 
   std::string name_;
   Dictionary dict_;
   TripleStore store_;
-  std::unique_ptr<CompressedTripleStore> compressed_;
 
   mutable bool entity_index_built_ = false;
   mutable std::vector<TermId> entity_terms_;

@@ -71,14 +71,6 @@ void TripleStore::Add(const Triple& t) {
   dirty_.store(true, std::memory_order_release);
 }
 
-void TripleStore::Clear() {
-  std::vector<Triple>().swap(pending_);
-  std::vector<Triple>().swap(spo_);
-  std::vector<Triple>().swap(pos_);
-  std::vector<Triple>().swap(osp_);
-  dirty_.store(false, std::memory_order_release);
-}
-
 void TripleStore::EnsureIndexes() const {
   // Double-checked build: the fast path is one acquire load; a cold
   // concurrent first read serializes on the mutex and rechecks, so exactly
@@ -106,13 +98,6 @@ size_t TripleStore::size() const {
 bool TripleStore::Contains(const Triple& t) const {
   EnsureIndexes();
   return std::binary_search(spo_.begin(), spo_.end(), t, LessSpo{});
-}
-
-size_t TripleStore::MemoryBytes() const {
-  EnsureIndexes();
-  return (pending_.capacity() + spo_.capacity() + pos_.capacity() +
-          osp_.capacity()) *
-         sizeof(Triple);
 }
 
 namespace {
@@ -176,6 +161,24 @@ void TripleStore::ForEachMatch(
   for (const Triple& t : spo_) {
     if (!fn(t)) return;
   }
+}
+
+size_t TripleStore::CountMatches(const TriplePattern& pattern) const {
+  size_t n = 0;
+  ForEachMatch(pattern, [&n](const Triple&) {
+    ++n;
+    return true;
+  });
+  return n;
+}
+
+std::vector<Triple> TripleStore::Match(const TriplePattern& pattern) const {
+  std::vector<Triple> out;
+  ForEachMatch(pattern, [&out](const Triple& t) {
+    out.push_back(t);
+    return true;
+  });
+  return out;
 }
 
 std::vector<TermId> TripleStore::DistinctPredicates() const {

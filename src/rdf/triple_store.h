@@ -8,13 +8,12 @@
 #include <vector>
 
 #include "rdf/triple.h"
-#include "rdf/triple_source.h"
 
 namespace alex::rdf {
 
-/// In-memory triple store with SPO, POS, and OSP sorted indexes — the
-/// uncompressed TripleSource backend and the equivalence reference for
-/// CompressedTripleStore.
+/// In-memory triple store with SPO, POS, and OSP sorted indexes: the one
+/// store behind every Dataset, read by the SPARQL evaluator, federation
+/// endpoint probes and the entity index.
 ///
 /// Triples are dictionary-encoded (TermId components). Insertion appends;
 /// indexes are (re)built lazily on first lookup after a mutation, with
@@ -28,7 +27,7 @@ namespace alex::rdf {
 /// serialize the build instead of mutating shared state unsynchronized.
 /// Mutation (Add) still requires external synchronization against both
 /// readers and other writers.
-class TripleStore final : public TripleSource {
+class TripleStore {
  public:
   TripleStore() = default;
 
@@ -44,33 +43,34 @@ class TripleStore final : public TripleSource {
   void Add(const Triple& t);
   void Add(TermId s, TermId p, TermId o) { Add(Triple{s, p, o}); }
 
-  /// Removes all triples and releases index memory.
-  void Clear();
-
   /// Number of distinct triples.
-  size_t size() const override;
+  size_t size() const;
+  bool empty() const { return size() == 0; }
 
   /// Returns true if the exact triple is present.
-  bool Contains(const Triple& t) const override;
+  bool Contains(const Triple& t) const;
 
-  /// Calls fn for every matching triple; stops early if fn returns false.
+  /// Calls fn for every triple matching the pattern (wildcards =
+  /// kInvalidTermId), in the order of the index chosen for the pattern;
+  /// stops early if fn returns false.
   void ForEachMatch(const TriplePattern& pattern,
-                    const std::function<bool(const Triple&)>& fn) const override;
+                    const std::function<bool(const Triple&)>& fn) const;
+
+  /// Number of triples matching the pattern.
+  size_t CountMatches(const TriplePattern& pattern) const;
+
+  /// Returns all triples matching the pattern.
+  std::vector<Triple> Match(const TriplePattern& pattern) const;
 
   /// Distinct predicate ids present in the store, sorted ascending.
-  std::vector<TermId> DistinctPredicates() const override;
+  std::vector<TermId> DistinctPredicates() const;
 
   /// Distinct subject ids present in the store, sorted ascending.
-  std::vector<TermId> DistinctSubjects() const override;
+  std::vector<TermId> DistinctSubjects() const;
 
   /// Builds indexes now (idempotent, thread-safe). Still useful before
   /// sharing across threads: it front-loads the one-time sort cost.
   void EnsureIndexes() const;
-
-  /// Resident bytes of the three indexes plus pending appends (capacity,
-  /// not size: what the allocator actually holds). The uncompressed
-  /// baseline for the storage bench's bytes/triple comparison.
-  size_t MemoryBytes() const;
 
  private:
   // Index orderings.

@@ -34,39 +34,6 @@ obs::Counter& ResumeCounter() {
   return obs::MetricsRegistry::Global().counter("ckpt.resumes");
 }
 
-std::string SanitizeFileComponent(const std::string& name) {
-  std::string out = name;
-  for (char& c : out) {
-    const bool keep = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '-' || c == '_';
-    if (!keep) c = '_';
-  }
-  return out.empty() ? "dataset" : out;
-}
-
-/// Applies the configured storage backend to one dataset. Disk-tier
-/// failures (unwritable dir, ...) degrade to in-memory compression so the
-/// run proceeds with the same query semantics.
-void ApplyStorageBackend(const core::AlexConfig& config, rdf::Dataset* ds) {
-  rdf::CompressedStoreOptions opts;
-  opts.block_size = config.storage_block_size;
-  opts.cache_budget_bytes = config.storage_cache_budget_bytes;
-  if (config.storage_backend == core::AlexConfig::StorageBackend::kCompressed) {
-    ds->Compress(opts);
-    return;
-  }
-  std::string path = config.storage_disk_dir;
-  if (!path.empty() && path.back() != '/') path.push_back('/');
-  path += SanitizeFileComponent(ds->name()) + ".blocks";
-  const Status st = ds->CompressToDisk(path, opts);
-  if (!st.ok()) {
-    ALEX_LOG(kWarning) << "disk-backed storage for \"" << ds->name()
-                       << "\" failed (" << st.ToString()
-                       << "); falling back to in-memory compression";
-    ds->Compress(opts);
-  }
-}
-
 /// Simulation checkpoint payload (kind kSimulation): the seed-linker tag
 /// (format v2+), the boundary episode, the oracle's RNG stream, the
 /// per-episode series so far, and the embedded PartitionedAlex snapshot.
@@ -243,16 +210,6 @@ RunResult Simulation::Run() {
   {
     obs::PhaseTimer phase(&telemetry, "generate");
     data_ = datagen::GenerateScenario(config_.scenario);
-  }
-
-  // 1b. Optional storage backend swap: compress both datasets before any
-  // query work so PARIS, blocking, and episodes all read through the
-  // configured TripleSource.
-  if (config_.alex.storage_backend !=
-      core::AlexConfig::StorageBackend::kUncompressed) {
-    obs::PhaseTimer phase(&telemetry, "compress");
-    ApplyStorageBackend(config_.alex, &data_.left);
-    ApplyStorageBackend(config_.alex, &data_.right);
   }
 
   // 2. Initial candidate links from the configured seed linker. The phase

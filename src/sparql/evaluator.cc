@@ -20,7 +20,7 @@ using Binding = std::vector<std::optional<Term>>;
 
 struct EvalContext {
   const rdf::Dictionary* dict = nullptr;
-  const rdf::TripleSource* store = nullptr;
+  const rdf::TripleStore* store = nullptr;
   std::unordered_map<std::string, size_t> var_index;
 };
 
@@ -214,7 +214,7 @@ bool CompareTerms(const Term& lhs, CompareOp op, const Term& rhs) {
 
 Result<QueryResult> Evaluate(const SelectQuery& query,
                              const rdf::Dictionary& dict,
-                             const rdf::TripleSource& store) {
+                             const rdf::TripleStore& store) {
   EvalContext ctx;
   ctx.dict = &dict;
   ctx.store = &store;
@@ -379,7 +379,7 @@ Result<QueryResult> Evaluate(const SelectQuery& query,
 
 Result<QueryResult> Evaluate(const SelectQuery& query,
                              const rdf::Dataset& dataset) {
-  return Evaluate(query, dataset.dict(), dataset.source());
+  return Evaluate(query, dataset.dict(), dataset.store());
 }
 
 Result<QueryResult> EvaluateQuery(std::string_view query_text,

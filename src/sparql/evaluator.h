@@ -21,8 +21,7 @@ struct QueryResult {
   size_t NumRows() const { return rows.size(); }
 };
 
-/// Evaluates a parsed SELECT query against one triple source (either
-/// storage backend: uncompressed TripleStore or CompressedTripleStore).
+/// Evaluates a parsed SELECT query against one triple store.
 ///
 /// Join strategy: triple patterns are ordered greedily by how many of their
 /// components are bound (constants or previously bound variables), then each
@@ -31,7 +30,7 @@ struct QueryResult {
 /// variable binds. DISTINCT and LIMIT are applied on output.
 Result<QueryResult> Evaluate(const SelectQuery& query,
                              const rdf::Dictionary& dict,
-                             const rdf::TripleSource& store);
+                             const rdf::TripleStore& store);
 
 /// Convenience overload for a Dataset.
 Result<QueryResult> Evaluate(const SelectQuery& query,

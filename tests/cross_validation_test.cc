@@ -11,7 +11,6 @@
 #include "core/metrics.h"
 #include "datagen/scenarios.h"
 #include "paris/link_spec.h"
-#include "rdf/binary_io.h"
 #include "rdf/ntriples.h"
 #include "rdf/turtle.h"
 #include "sparql/results_io.h"
@@ -52,31 +51,6 @@ TEST(CrossValidationTest, NTriplesOutputIsValidTurtle) {
     }
     return true;
   });
-}
-
-TEST(CrossValidationTest, BinaryAndTextFormatsAgree) {
-  datagen::ScenarioConfig config;
-  config.seed = 424;
-  config.num_shared = 30;
-  config.num_left_only = 10;
-  config.num_right_only = 10;
-  config.domains = {"place"};
-  datagen::GeneratedPair pair = datagen::GenerateScenario(config);
-
-  std::ostringstream binary;
-  ASSERT_TRUE(rdf::WriteBinaryDataset(pair.right.dict(), pair.right.store(),
-                                      binary)
-                  .ok());
-  rdf::Dictionary dict2;
-  rdf::TripleStore store2;
-  std::istringstream in(binary.str());
-  ASSERT_TRUE(rdf::ReadBinaryDataset(in, &dict2, &store2).ok());
-
-  std::ostringstream text1, text2;
-  ASSERT_TRUE(
-      rdf::WriteNTriples(pair.right.store(), pair.right.dict(), text1).ok());
-  ASSERT_TRUE(rdf::WriteNTriples(store2, dict2, text2).ok());
-  EXPECT_EQ(text1.str(), text2.str());
 }
 
 TEST(CrossValidationTest, EpsilonDecayIsObservable) {

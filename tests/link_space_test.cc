@@ -70,7 +70,7 @@ TEST_F(LinkSpaceTest, BandQueryReturnsPairsInRange) {
   ASSERT_FALSE(fs.empty());
   const FeatureKey feature = fs[0].key;
 
-  std::vector<feedback::PairKey> found;
+  std::vector<uint32_t> found;
   space.BandQuery(feature, 0.95, 1.0, &found);
   // All 8 exact-name pairs have score 1.0 on (name, label); cross pairs
   // ("Entity Number1" vs "Entity Number2") share the token "entity"
@@ -99,8 +99,10 @@ TEST_F(LinkSpaceTest, BandQueryMatchesBruteForce) {
   const FeatureKey feature = space.FeaturesOf(PackPair(*l, *r))[0].key;
   for (double lo : {0.0, 0.3, 0.5, 0.9, 0.99}) {
     const double hi = lo + 0.3;
+    std::vector<uint32_t> ordinals;
+    space.BandQuery(feature, lo, hi, &ordinals);
     std::vector<feedback::PairKey> banded;
-    space.BandQuery(feature, lo, hi, &banded);
+    for (uint32_t o : ordinals) banded.push_back(space.pairs()[o]);
     std::vector<feedback::PairKey> brute;
     for (feedback::PairKey pair : space.pairs()) {
       for (const FeatureValue& f : space.FeaturesOf(pair)) {
@@ -126,7 +128,7 @@ TEST_F(LinkSpaceTest, BandQueryBoundsAreNotWidenedByFloatRounding) {
   // The 8 exact-name pairs score exactly 1.0. A lower bound just above 1.0
   // truncates to 1.0f; comparing in float would admit all of them even
   // though every score lies below the requested band.
-  std::vector<feedback::PairKey> found;
+  std::vector<uint32_t> found;
   space.BandQuery(feature, 1.0 + 1e-12, 2.0, &found);
   EXPECT_TRUE(found.empty());
 
@@ -134,8 +136,8 @@ TEST_F(LinkSpaceTest, BandQueryBoundsAreNotWidenedByFloatRounding) {
   // comparison would keep the score-1.0 pairs inside the band.
   found.clear();
   space.BandQuery(feature, 0.999, 1.0 - 1e-12, &found);
-  for (feedback::PairKey pair : found) {
-    for (const FeatureValue& f : space.FeaturesOf(pair)) {
+  for (uint32_t o : found) {
+    for (const FeatureValue& f : space.FeaturesOf(space.pairs()[o])) {
       if (f.key == feature) {
         EXPECT_LT(static_cast<float>(f.score), 1.0f);
       }

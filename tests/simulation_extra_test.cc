@@ -68,39 +68,6 @@ TEST(SimulationExtraTest, DisablingOptimizationsChangesTrajectory) {
   EXPECT_TRUE(diverged || a.episodes.size() != b.episodes.size());
 }
 
-// The storage backend is a pure representation change: a run on the
-// compressed (or disk-backed compressed) store must produce the exact
-// same episode series as the uncompressed reference — same feedback,
-// same link deltas, same P/R/F at every episode.
-TEST(SimulationExtraTest, StorageBackendsProduceIdenticalRuns) {
-  auto run_with = [](core::AlexConfig::StorageBackend backend) {
-    SimulationConfig config = TinyConfig(17);
-    config.alex.storage_backend = backend;
-    config.alex.storage_disk_dir = ::testing::TempDir();
-    return Simulation(config).Run();
-  };
-  const RunResult reference = run_with(core::AlexConfig::StorageBackend::kUncompressed);
-  for (auto backend : {core::AlexConfig::StorageBackend::kCompressed,
-                       core::AlexConfig::StorageBackend::kCompressedDisk}) {
-    const RunResult r = run_with(backend);
-    ASSERT_EQ(r.episodes.size(), reference.episodes.size());
-    for (size_t i = 0; i < reference.episodes.size(); ++i) {
-      const EpisodeRecord& a = reference.episodes[i];
-      const EpisodeRecord& b = r.episodes[i];
-      EXPECT_EQ(a.metrics.precision, b.metrics.precision) << i;
-      EXPECT_EQ(a.metrics.recall, b.metrics.recall) << i;
-      EXPECT_EQ(a.metrics.candidates, b.metrics.candidates) << i;
-      EXPECT_EQ(a.positive_feedback, b.positive_feedback) << i;
-      EXPECT_EQ(a.negative_feedback, b.negative_feedback) << i;
-      EXPECT_EQ(a.links_added, b.links_added) << i;
-      EXPECT_EQ(a.links_removed, b.links_removed) << i;
-    }
-    EXPECT_EQ(r.converged_episode, reference.converged_episode);
-    EXPECT_EQ(r.new_links_discovered, reference.new_links_discovered);
-    EXPECT_EQ(r.initial_links, reference.initial_links);
-  }
-}
-
 TEST(SimulationExtraTest, PresetProfilesAreDistinct) {
   // Initial (episode-0) profiles of the three DBpedia pairs reproduce the
   // paper's three regimes at scaled size.

@@ -170,6 +170,42 @@ TEST_P(TripleStorePropertyTest, MatchesAgreeWithBruteForce) {
   }
 }
 
+TEST(TripleStoreRangeTest, MaxTermIdMatchesBruteForce) {
+  // kInvalidTermId is the wildcard and also ForEachMatch's upper range
+  // sentinel, so kInvalidTermId - 1 is the largest legal component: every
+  // index range must still include it.
+  const TermId big = kInvalidTermId - 1;
+  const std::vector<Triple> triples = {
+      T(0, 0, 0), T(0, 0, big), T(big, big, big), T(big, 0, 5), T(7, big, 0),
+  };
+  TripleStore store;
+  for (const Triple& t : triples) store.Add(t);
+  const TermId kAny = kInvalidTermId;
+  const std::vector<TriplePattern> patterns = {
+      {kAny, kAny, kAny}, {big, kAny, kAny}, {kAny, big, kAny},
+      {kAny, kAny, big},  {big, big, big},   {big, kAny, 5},
+  };
+  for (const TriplePattern& p : patterns) {
+    std::vector<Triple> expected;
+    for (const Triple& t : triples) {
+      if (p.Matches(t)) expected.push_back(t);
+    }
+    std::sort(expected.begin(), expected.end());
+    std::vector<Triple> actual = store.Match(p);
+    std::sort(actual.begin(), actual.end());
+    EXPECT_EQ(actual, expected)
+        << p.subject << " " << p.predicate << " " << p.object;
+    EXPECT_EQ(store.CountMatches(p), expected.size());
+  }
+
+  // A callback returning false stops the full scan after one triple.
+  size_t calls = 0;
+  store.ForEachMatch(TriplePattern{}, [&calls](const Triple&) {
+    ++calls;
+    return false;
+  });
+  EXPECT_EQ(calls, 1u);
+}
 
 // Cold-start concurrency: many threads issue the first reads against a
 // freshly mutated store, so the lazy index build races. The dirty-flag +
@@ -202,7 +238,7 @@ TEST(TripleStoreConcurrencyTest, ConcurrentColdReadsAreSafe) {
         });
         if (t % 2 != 0 && seen != expected + 1) mismatch.store(true);
         total.fetch_add(seen);
-        // Mixed reads through the other virtual entry points.
+        // Mixed reads through the other entry points.
         if (store.size() != expected + 1) mismatch.store(true);
         if (store.DistinctPredicates().empty()) mismatch.store(true);
       });
