@@ -93,9 +93,6 @@ std::vector<double> PartitionedAlex::Build() {
   }
 
   // Phase 2: per-partition builds, all borrowing the shared resources.
-  // ParallelFor's chunk-index affinity hint homes partition p on worker
-  // p % workers, so the partition's blocking scratch and candidate
-  // vectors are (stealing aside) touched by one core.
   const BuildResources res{right_index.get(), left_keys.get(),
                            left_values.get(), right_values.get()};
   ParallelFor(pool(), n, [this, &metrics, &seconds, &res](size_t p) {
@@ -219,12 +216,6 @@ PairKey PartitionedAlex::CandidateAt(size_t k) const {
 size_t PartitionedAlex::NumCandidates() const {
   size_t n = 0;
   for (const auto& engine : engines_) n += engine->candidates().size();
-  return n;
-}
-
-size_t PartitionedAlex::TotalExploredLinks() const {
-  size_t n = 0;
-  for (const auto& engine : engines_) n += engine->total_explored_links();
   return n;
 }
 

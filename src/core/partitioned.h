@@ -95,9 +95,6 @@ class PartitionedAlex {
     return *spaces_[partition];
   }
 
-  /// Total distinct links ever added by exploration, across partitions.
-  size_t TotalExploredLinks() const;
-
   /// Aggregated link-space stats (Figure 5 reports partition 0's).
   LinkSpace::BuildStats AggregatedSpaceStats() const;
 

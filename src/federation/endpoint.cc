@@ -41,13 +41,4 @@ Status Endpoint::Probe(const PatternProbe& probe, const CallOptions& /*opts*/,
   return Status::OK();
 }
 
-Result<sparql::QueryResult> Endpoint::Select(
-    const sparql::SelectQuery& query) const {
-  return sparql::Evaluate(query, *dataset_);
-}
-
-Result<bool> Endpoint::Ask(const sparql::SelectQuery& query) const {
-  return sparql::Ask(query, *dataset_);
-}
-
 }  // namespace alex::fed

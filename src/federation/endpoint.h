@@ -86,12 +86,6 @@ class Endpoint final : public QueryEndpoint {
   Status Probe(const PatternProbe& probe, const CallOptions& opts,
                const ProbeRowFn& fn) const override;
 
-  /// Runs a full SELECT query against this endpoint alone.
-  Result<sparql::QueryResult> Select(const sparql::SelectQuery& query) const;
-
-  /// SPARQL ASK against this endpoint alone: true if any solution exists.
-  Result<bool> Ask(const sparql::SelectQuery& query) const;
-
  private:
   const rdf::Dataset* dataset_;
   std::unordered_set<std::string> predicates_;

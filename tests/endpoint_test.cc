@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "sparql/evaluator.h"
 #include "sparql/parser.h"
 
 namespace alex::fed {
@@ -43,7 +44,7 @@ TEST_F(EndpointTest, CanAnswerSourceSelection) {
 TEST_F(EndpointTest, SelectDelegatesToEvaluator) {
   auto q = sparql::ParseQuery("SELECT ?n WHERE { ?s <http://x/name> ?n . }");
   ASSERT_TRUE(q.ok());
-  auto r = endpoint_->Select(*q);
+  auto r = sparql::Evaluate(*q, ds_);
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r->NumRows(), 1u);
   EXPECT_EQ(r->rows[0][0], Term::Literal("E"));

@@ -28,18 +28,15 @@ TEST(CounterTest, SingleThreadedAddAndValue) {
 }
 
 TEST(CounterTest, ConcurrentAddsFromThreadPoolAllLand) {
-  // Hammer one counter from every pool worker; sharded cells must not lose
+  // Hammer one counter from every pool thread; sharded cells must not lose
   // any increment regardless of how threads map onto shards.
   Counter counter;
   ThreadPool pool(8);
   constexpr int kTasks = 64;
   constexpr int kAddsPerTask = 10000;
-  for (int t = 0; t < kTasks; ++t) {
-    pool.Submit([&counter] {
-      for (int i = 0; i < kAddsPerTask; ++i) counter.Add();
-    });
-  }
-  pool.Wait();
+  ParallelFor(&pool, kTasks, [&counter](size_t) {
+    for (int i = 0; i < kAddsPerTask; ++i) counter.Add();
+  });
   EXPECT_EQ(counter.Value(),
             static_cast<uint64_t>(kTasks) * kAddsPerTask);
 }
@@ -61,12 +58,10 @@ TEST(GaugeTest, ConcurrentUpdateMaxKeepsTrueMax) {
   Gauge gauge;
   ThreadPool pool(8);
   constexpr int kTasks = 32;
-  for (int t = 1; t <= kTasks; ++t) {
-    pool.Submit([&gauge, t] {
-      for (int i = 0; i < 1000; ++i) gauge.UpdateMax(t * 1000 + i);
-    });
-  }
-  pool.Wait();
+  ParallelFor(&pool, kTasks, [&gauge](size_t task) {
+    const int t = static_cast<int>(task) + 1;
+    for (int i = 0; i < 1000; ++i) gauge.UpdateMax(t * 1000 + i);
+  });
   EXPECT_EQ(gauge.MaxValue(), kTasks * 1000 + 999);
 }
 
@@ -96,16 +91,13 @@ TEST(HistogramTest, ConcurrentObservationsAllCounted) {
   ThreadPool pool(8);
   constexpr int kTasks = 32;
   constexpr int kObsPerTask = 5000;
-  for (int t = 0; t < kTasks; ++t) {
-    // Half the observations land below the bound, half above; every task
-    // uses the same deterministic split, so the merged buckets are exact.
-    pool.Submit([&histogram] {
-      for (int i = 0; i < kObsPerTask; ++i) {
-        histogram.Observe(i % 2 == 0 ? 0.1 : 1.0);
-      }
-    });
-  }
-  pool.Wait();
+  // Half the observations land below the bound, half above; every task
+  // uses the same deterministic split, so the merged buckets are exact.
+  ParallelFor(&pool, kTasks, [&histogram](size_t) {
+    for (int i = 0; i < kObsPerTask; ++i) {
+      histogram.Observe(i % 2 == 0 ? 0.1 : 1.0);
+    }
+  });
   const HistogramSnapshot snap = histogram.Snapshot();
   EXPECT_EQ(snap.count, static_cast<uint64_t>(kTasks) * kObsPerTask);
   EXPECT_EQ(snap.counts[0], static_cast<uint64_t>(kTasks) * kObsPerTask / 2);
@@ -238,15 +230,12 @@ TEST(RegistryTest, SnapshotMergeIsDeterministic) {
       registry.histogram("obs_test.determinism.hist", {0.5});
 
   ThreadPool pool(4);
-  for (int t = 0; t < 16; ++t) {
-    pool.Submit([&counter, &histogram] {
-      for (int i = 0; i < 1000; ++i) {
-        counter.Add();
-        histogram.Observe(0.1);
-      }
-    });
-  }
-  pool.Wait();
+  ParallelFor(&pool, 16, [&counter, &histogram](size_t) {
+    for (int i = 0; i < 1000; ++i) {
+      counter.Add();
+      histogram.Observe(0.1);
+    }
+  });
 
   const MetricsSnapshot first = registry.Snapshot();
   const MetricsSnapshot second = registry.Snapshot();

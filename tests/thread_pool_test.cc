@@ -1,63 +1,16 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
-#include <numeric>
+#include <chrono>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 namespace alex {
 namespace {
-
-TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool(4);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 100; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 100);
-}
-
-TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
-  ThreadPool pool(0);
-  EXPECT_EQ(pool.num_threads(), 1u);
-  std::atomic<int> counter{0};
-  pool.Submit([&counter] { counter.fetch_add(1); });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitWithNoTasksReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Wait();  // Must not hang.
-  SUCCEED();
-}
-
-TEST(ThreadPoolTest, MultipleWaitCycles) {
-  ThreadPool pool(3);
-  std::atomic<int> counter{0};
-  for (int round = 0; round < 5; ++round) {
-    for (int i = 0; i < 20; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-    EXPECT_EQ(counter.load(), (round + 1) * 20);
-  }
-}
-
-TEST(ThreadPoolTest, TasksCanSubmitMoreTasks) {
-  ThreadPool pool(2);
-  std::atomic<int> counter{0};
-  pool.Submit([&pool, &counter] {
-    counter.fetch_add(1);
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  });
-  pool.Wait();
-  EXPECT_EQ(counter.load(), 2);
-}
 
 TEST(ThreadPoolTest, ParallelForCoversAllIndices) {
   ThreadPool pool(4);
@@ -73,124 +26,59 @@ TEST(ThreadPoolTest, ParallelForZeroIterations) {
   SUCCEED();
 }
 
-TEST(ThreadPoolTest, ThrowingTaskRethrownFromWait) {
-  // A task exception used to escape WorkerLoop and std::terminate the whole
-  // process (with in_flight_ left dangling). It must instead surface from
-  // Wait() on the submitting thread.
-  ThreadPool pool(2);
+TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
+  ThreadPool pool(0);
+  EXPECT_EQ(pool.num_threads(), 1u);
   std::atomic<int> counter{0};
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Submit([] { throw std::runtime_error("task boom"); });
-  for (int i = 0; i < 10; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  try {
-    pool.Wait();
-    FAIL() << "Wait() must rethrow the task exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_EQ(std::string(e.what()), "task boom");
-  }
-  // Every non-throwing task still ran: the worker decremented in_flight_ for
-  // the throwing task too, so Wait() was able to drain.
-  EXPECT_EQ(counter.load(), 20);
+  ParallelFor(&pool, 10, [&counter](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 10);
+}
+
+TEST(ThreadPoolTest, OneThreadPoolRunsOnCaller) {
+  // Each index sleeps, so a helper thread, if there were one, would have
+  // time to wake and claim a chunk.
+  ThreadPool pool(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<int> elsewhere{0};
+  ParallelFor(&pool, 64, [&](size_t) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    if (std::this_thread::get_id() != caller) elsewhere.fetch_add(1);
+  });
+  EXPECT_EQ(elsewhere.load(), 0);
 }
 
 TEST(ThreadPoolTest, FirstOfManyExceptionsWins) {
+  // On one thread the chunks run in index order, so the first throw is
+  // index 0's; later ones are dropped.
+  ThreadPool serial(1);
+  try {
+    ParallelFor(&serial, 3, [](size_t i) {
+      throw std::runtime_error("boom " + std::to_string(i));
+    });
+    FAIL() << "ParallelFor must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()), "boom 0");
+  }
+  // Every index throws a distinct message; the call rethrows exactly one of
+  // them, and every chunk still ran its first index.
   ThreadPool pool(4);
+  constexpr size_t kN = 32;  // 32 chunks of one index on four threads.
   std::atomic<int> throws{0};
-  for (int i = 0; i < 8; ++i) {
-    pool.Submit([&throws] {
+  try {
+    ParallelFor(&pool, kN, [&throws](size_t i) {
       throws.fetch_add(1);
-      throw std::runtime_error("boom");
+      throw std::runtime_error("boom " + std::to_string(i));
     });
+    FAIL() << "ParallelFor must rethrow";
+  } catch (const std::runtime_error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("boom ", 0), 0u) << e.what();
   }
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  EXPECT_EQ(throws.load(), 8);  // All tasks ran despite the failures.
-}
-
-TEST(ThreadPoolTest, PoolUsableAfterTaskException) {
-  // The error slot is cleared by the Wait() that reports it; the next cycle
-  // starts clean.
-  ThreadPool pool(2);
-  pool.Submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.Wait(), std::runtime_error);
-  std::atomic<int> counter{0};
-  for (int i = 0; i < 25; ++i) {
-    pool.Submit([&counter] { counter.fetch_add(1); });
-  }
-  pool.Wait();  // Must neither hang nor rethrow the stale exception.
-  EXPECT_EQ(counter.load(), 25);
-}
-
-TEST(ThreadPoolTest, DestructorJoinsCleanly) {
-  std::atomic<int> counter{0};
-  {
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i) {
-      pool.Submit([&counter] { counter.fetch_add(1); });
-    }
-    pool.Wait();
-  }  // Destructor must join without deadlock.
-  EXPECT_EQ(counter.load(), 50);
-}
-
-TEST(ThreadPoolTest, AffinityHintsRunEveryTask) {
-  // Hints are locality advice, never placement filters: every task must run
-  // exactly once whatever the hint, including hints far beyond num_threads.
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(200);
-  for (size_t i = 0; i < hits.size(); ++i) {
-    pool.Submit([&hits, i] { hits[i].fetch_add(1); }, /*affinity_hint=*/i * 7);
-  }
-  pool.Wait();
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitFromWorkerRecursionStress) {
-  // Deep fan-out submitted from inside workers: each task spawns two more
-  // until the budget is spent. Exercises worker-local enqueue plus stealing
-  // under load; Wait() must count tasks submitted by tasks.
-  ThreadPool pool(4);
-  std::atomic<int> budget{2047};  // Full binary tree of depth 10.
-  std::atomic<int> ran{0};
-  std::function<void()> task = [&] {
-    ran.fetch_add(1);
-    for (int child = 0; child < 2; ++child) {
-      if (budget.fetch_sub(1) > 0) pool.Submit(task);
-    }
-  };
-  budget.fetch_sub(1);
-  pool.Submit(task);
-  pool.Wait();
-  EXPECT_EQ(ran.load(), 2047);
-}
-
-TEST(ThreadPoolTest, StealingStressManyProducers) {
-  // TSan target: external submitters round-robin across every queue while
-  // workers pop their own fronts and steal each other's backs. All counters
-  // must land exactly, with no data-race reports under -DALEX_SANITIZE.
-  ThreadPool pool(4);
-  std::atomic<int64_t> sum{0};
-  constexpr int kTasks = 20000;
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&pool, &sum, p] {
-      for (int i = p; i < kTasks; i += 3) {
-        pool.Submit([&sum, i] { sum.fetch_add(i); },
-                    /*affinity_hint=*/static_cast<size_t>(i));
-      }
-    });
-  }
-  for (auto& t : producers) t.join();
-  pool.Wait();
-  EXPECT_EQ(sum.load(), int64_t{kTasks} * (kTasks - 1) / 2);
+  EXPECT_EQ(throws.load(), static_cast<int>(kN));
 }
 
 TEST(ThreadPoolTest, ParallelForThrowAbandonsOwnChunkOnly) {
   // Chunked exception semantics: index 0 throws, killing the remainder of
-  // its chunk; every index in every OTHER chunk still runs. Two workers get
+  // its chunk; every index in every OTHER chunk still runs. Two threads get
   // 16 chunks, so 160 indices chunk into runs of 10.
   ThreadPool pool(2);
   constexpr size_t kN = 160;
@@ -212,6 +100,82 @@ TEST(ThreadPoolTest, ParallelForThrowAbandonsOwnChunkOnly) {
   for (size_t i = kGrain; i < kN; ++i) {
     EXPECT_EQ(hits[i].load(), 1) << "index " << i << " in an innocent chunk";
   }
+}
+
+TEST(ThreadPoolTest, PoolUsableAfterException) {
+  // The error belongs to the call that raised it; the next call starts
+  // clean.
+  ThreadPool pool(2);
+  EXPECT_THROW(ParallelFor(&pool, 4,
+                           [](size_t) { throw std::runtime_error("boom"); }),
+               std::runtime_error);
+  std::atomic<int> counter{0};
+  for (int round = 0; round < 5; ++round) {
+    // Must neither hang nor rethrow the stale exception.
+    ParallelFor(&pool, 25, [&counter](size_t) { counter.fetch_add(1); });
+    EXPECT_EQ(counter.load(), (round + 1) * 25);
+  }
+}
+
+TEST(ThreadPoolTest, NestedParallelForCompletes) {
+  // A call from inside a running fn runs inline on that thread; waiting for
+  // helpers instead would hang, since they are busy in the parent call.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(12 * 7);
+  ParallelFor(&pool, 12, [&](size_t outer) {
+    ParallelFor(&pool, 7,
+                [&](size_t inner) { hits[outer * 7 + inner].fetch_add(1); });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPoolTest, ConcurrentCallersSeeOnlyTheirOwnWork) {
+  // Two external threads share one pool: each call returns only after its
+  // own indices ran, and rethrows only its own exception.
+  ThreadPool pool(3);
+  constexpr size_t kN = 500;
+  constexpr int kRounds = 20;
+  std::vector<std::atomic<int>> hits_a(kN);
+  std::vector<std::atomic<int>> hits_b(kN);
+  std::atomic<int> a_errors{0};
+  std::atomic<int> b_errors{0};
+  std::atomic<int> a_incomplete{0};
+  std::atomic<int> b_incomplete{0};
+  auto caller = [&pool](const char* tag, std::vector<std::atomic<int>>* hits,
+                        std::atomic<int>* errors,
+                        std::atomic<int>* incomplete) {
+    for (int round = 0; round < kRounds; ++round) {
+      try {
+        ParallelFor(&pool, kN, [&](size_t i) {
+          (*hits)[i].fetch_add(1);
+          if (i == kN - 1) throw std::runtime_error(tag);
+        });
+      } catch (const std::runtime_error& e) {
+        if (std::string(e.what()) == tag) errors->fetch_add(1);
+      }
+      for (const auto& h : *hits) {
+        if (h.load() != round + 1) incomplete->fetch_add(1);
+      }
+    }
+  };
+  std::thread a(caller, "a", &hits_a, &a_errors, &a_incomplete);
+  std::thread b(caller, "b", &hits_b, &b_errors, &b_incomplete);
+  a.join();
+  b.join();
+  EXPECT_EQ(a_errors.load(), kRounds);
+  EXPECT_EQ(b_errors.load(), kRounds);
+  EXPECT_EQ(a_incomplete.load(), 0);
+  EXPECT_EQ(b_incomplete.load(), 0);
+}
+
+TEST(ThreadPoolTest, DestructorJoinsCleanly) {
+  std::atomic<int> counter{0};
+  {
+    ThreadPool pool(3);
+    ParallelFor(&pool, 50, [&counter](size_t) { counter.fetch_add(1); });
+  }  // Destructor must join without deadlock.
+  EXPECT_EQ(counter.load(), 50);
+  { ThreadPool idle(4); }  // Helpers that never ran a job join too.
 }
 
 }  // namespace

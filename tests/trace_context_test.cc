@@ -320,9 +320,9 @@ TEST_F(TraceContextTest, PooledWorkerStartsEachQueryWithCleanThreadState) {
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetEnabled(true);
 
-  ThreadPool pool(1);  // ONE worker: both queries reuse the same thread.
+  ThreadPool pool(1);  // ONE thread: both queries reuse the same thread.
   std::atomic<bool> residue{false};
-  auto run_query = [&] {
+  auto run_query = [&](size_t) {
     // Clean slate before the query...
     if (CurrentQueryStats() != nullptr) residue = true;
     if (TraceRecorder::CurrentContext().trace_id != 0) residue = true;
@@ -332,10 +332,7 @@ TEST_F(TraceContextTest, PooledWorkerStartsEachQueryWithCleanThreadState) {
     if (CurrentQueryStats() != nullptr) residue = true;
     if (TraceRecorder::CurrentContext().trace_id != 0) residue = true;
   };
-  pool.Submit(run_query);
-  pool.Wait();
-  pool.Submit(run_query);
-  pool.Wait();
+  ParallelFor(&pool, 2, run_query);
   recorder.SetEnabled(false);
   EXPECT_FALSE(residue.load());
 

@@ -1,6 +1,7 @@
 #include "rdf/triple_store.h"
 
 #include <algorithm>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,7 +9,6 @@
 #include <atomic>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 
 namespace alex::rdf {
 namespace {
@@ -224,11 +224,11 @@ TEST(TripleStoreConcurrencyTest, ConcurrentColdReadsAreSafe) {
     // Dirty the indexes again so every reader starts cold.
     store.Add(Triple{1000, 1000, 1000});
 
-    ThreadPool pool(8);
     std::atomic<size_t> total{0};
     std::atomic<bool> mismatch{false};
+    std::vector<std::thread> readers;
     for (int t = 0; t < 8; ++t) {
-      pool.Submit([&store, &total, &mismatch, expected, t] {
+      readers.emplace_back([&store, &total, &mismatch, expected, t] {
         size_t seen = 0;
         TriplePattern p;
         if (t % 2 == 0) p.subject = static_cast<TermId>(t);
@@ -243,7 +243,7 @@ TEST(TripleStoreConcurrencyTest, ConcurrentColdReadsAreSafe) {
         if (store.DistinctPredicates().empty()) mismatch.store(true);
       });
     }
-    pool.Wait();
+    for (std::thread& reader : readers) reader.join();
     EXPECT_FALSE(mismatch.load()) << "round " << round;
     EXPECT_GT(total.load(), 0u);
   }
