@@ -6,7 +6,7 @@
 // by partition) and the two worker counts must agree exactly at each
 // partition count — the build is invariant to the thread count — or the
 // bench exits 1. Each run also prints the similarity-matrix cells scored
-// and the cells the gram/token masks skipped. The number of allowed CPUs
+// and the cells the θ-bound sketch filter skipped. The number of allowed CPUs
 // is embedded in the JSON so a 1-core CI run is distinguishable from a
 // real multi-core measurement. One extra traced 4-partition build is
 // written as bench_build_space.trace.json.

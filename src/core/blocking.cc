@@ -95,18 +95,21 @@ void TermKeyCache::EntityKeys(rdf::EntityId e,
 
 ValueCache::ValueCache(const rdf::Dataset& ds) {
   ALEX_TRACE_SPAN("build", "ValueCache");
-  values_.resize(ds.dict().size());
-  profiles_.resize(ds.dict().size());
-  std::vector<bool> parsed(values_.size(), false);
+  // Pass 1 numbers the attribute objects in first-occurrence order, so
+  // pass 2 fills a table sized once.
+  constexpr uint32_t kNoRow = UINT32_MAX;
+  rows_.assign(ds.dict().size(), kNoRow);
+  std::vector<rdf::TermId> objects;
   for (rdf::EntityId e = 0; e < ds.num_entities(); ++e) {
     for (const rdf::Attribute& a : ds.attributes(e)) {
-      if (a.object < values_.size() && !parsed[a.object]) {
-        values_[a.object] = sim::ParseValue(ds.dict().term(a.object));
-        profiles_[a.object] = sim::MakeStringProfile(values_[a.object].text);
-        parsed[a.object] = true;
+      if (a.object < rows_.size() && rows_[a.object] == kNoRow) {
+        rows_[a.object] = static_cast<uint32_t>(objects.size());
+        objects.push_back(a.object);
       }
     }
   }
+  table_.Reserve(objects.size());
+  for (rdf::TermId t : objects) table_.Add(sim::ParseValue(ds.dict().term(t)));
 }
 
 BlockingIndex::BlockingIndex(const rdf::Dataset& right) : term_keys_(right) {

@@ -8,8 +8,7 @@
 #include <vector>
 
 #include "rdf/dataset.h"
-#include "similarity/string_metrics.h"
-#include "similarity/value.h"
+#include "similarity/similarity.h"
 
 namespace alex::core {
 
@@ -72,30 +71,24 @@ class TermKeyCache {
   size_t computed_terms_ = 0;
 };
 
-/// Memoized sim::ParseValue results and string profiles per dictionary
-/// TermId for one dataset, so feature computation stops re-parsing — and
-/// similarity scoring stops re-lowercasing/re-tokenizing — the same term
-/// for every candidate pair that touches it. Built eagerly over
-/// attribute-object terms; read-only and shareable across threads
-/// afterwards. `value()`/`profile()` are only meaningful for terms that
-/// occur as attribute objects.
+/// Parsed, profiled attribute values of one dataset, so feature
+/// computation stops re-parsing — and similarity scoring stops
+/// re-lowercasing/re-tokenizing — the same term for every candidate pair
+/// that touches it. One sim::ValueTable row per term that occurs as an
+/// attribute object, added in first-occurrence order; read-only and
+/// shareable across threads afterwards.
 class ValueCache {
  public:
   explicit ValueCache(const rdf::Dataset& ds);
 
-  const sim::TypedValue& value(rdf::TermId t) const { return values_[t]; }
+  /// Row of `t` in table(). Only meaningful for attribute-object terms.
+  uint32_t row(rdf::TermId t) const { return rows_[t]; }
 
-  /// StringProfile of `value(t).text`, for the profile-accelerated
-  /// sim::ValueSimilarity overload.
-  const sim::StringProfile& profile(rdf::TermId t) const {
-    return profiles_[t];
-  }
-
-  size_t size() const { return values_.size(); }
+  const sim::ValueTable& table() const { return table_; }
 
  private:
-  std::vector<sim::TypedValue> values_;
-  std::vector<sim::StringProfile> profiles_;
+  std::vector<uint32_t> rows_;  ///< Per dictionary term.
+  sim::ValueTable table_;
 };
 
 /// Inverted blocking index of one (right) dataset: BlockKey -> the entities

@@ -95,11 +95,9 @@ size_t AppendFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
   return ReduceSimilarityMatrix(
       la, ra, theta,
       [&](size_t li, size_t rj) {
-        const rdf::TermId lt = la[li].object;
-        const rdf::TermId rt = ra[rj].object;
         return sim::ValueSimilarity(
-            left_values.value(lt), right_values.value(rt),
-            left_values.profile(lt), right_values.profile(rt),
+            left_values.table(), left_values.row(la[li].object),
+            right_values.table(), right_values.row(ra[rj].object), theta,
             &scratch->cells);
       },
       &scratch->raw, out);

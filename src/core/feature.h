@@ -60,10 +60,13 @@ FeatureSet ComputeFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
 
 /// The link-space build's form of ComputeFeatureSet: appends the same
 /// feature set to `out` and returns the number of entries appended (0 when
-/// the pair is θ-filtered). Attribute values and their string profiles come
-/// from the per-dataset ValueCaches instead of being re-parsed per
-/// candidate pair, and every similarity-matrix cell runs the
-/// profile-accelerated sim::ValueSimilarity, counted in `scratch->cells`.
+/// the pair is θ-filtered). Attribute values come from the per-dataset
+/// ValueCaches instead of being re-parsed per candidate pair, and every
+/// similarity-matrix cell runs the table-based sim::ValueSimilarity with
+/// `theta`, counted in `scratch->cells`. That skips string cells whose
+/// sketch bound is below θ; the result is still exact, because a cell below
+/// θ never changes a kept row's maximum or its first argmax, and a row whose
+/// maximum is below θ is dropped either way.
 size_t AppendFeatureSet(const rdf::Dataset& left, rdf::EntityId left_e,
                         const rdf::Dataset& right, rdf::EntityId right_e,
                         double theta, const ValueCache& left_values,

@@ -52,7 +52,7 @@ class LinkSpace {
     /// Total feature entries indexed.
     uint64_t features_indexed = 0;
     /// Similarity-matrix cells of the candidate pairs whose score was
-    /// computed, and string cells the gram/token masks settled at 0.0
+    /// computed, and string cells whose sketch bound fell below θ
     /// (sim::CellCounts).
     uint64_t cells_scored = 0;
     uint64_t cells_skipped = 0;

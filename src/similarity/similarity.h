@@ -1,6 +1,12 @@
 #ifndef ALEX_SIMILARITY_SIMILARITY_H_
 #define ALEX_SIMILARITY_SIMILARITY_H_
 
+#include <cstdint>
+#include <span>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "rdf/term.h"
 #include "similarity/string_metrics.h"
 #include "similarity/value.h"
@@ -20,22 +26,85 @@ namespace alex::sim {
 /// Symmetric and deterministic.
 double ValueSimilarity(const TypedValue& a, const TypedValue& b);
 
-/// Work done by the profiled ValueSimilarity: cells whose score it
-/// computed, and string cells that ProfilesDisjoint settled at 0.0 without
-/// running the metrics.
+/// Parsed attribute values in columns, as the link-space build scores
+/// them: per row the value's kind and number, its lowercase text, its
+/// sorted trigram multiset, its sorted distinct word tokens and its
+/// TermSketch. Texts, trigrams and tokens are pooled across rows. Rows are
+/// appended by Add and read-only afterwards, so a finished table is safe to
+/// share across threads.
+class ValueTable {
+ public:
+  /// Sizes the per-row columns for `rows` rows, so a table whose row count
+  /// is known up front is allocated once.
+  void Reserve(size_t rows);
+
+  /// Appends `v` and returns its row. Views from earlier calls (lower,
+  /// trigrams, token) stay valid only until the next Add.
+  uint32_t Add(const TypedValue& v);
+
+  size_t size() const { return kinds_.size(); }
+  ValueKind kind(uint32_t row) const { return kinds_[row]; }
+  /// The number of a kInteger or kDouble row.
+  double real(uint32_t row) const { return reals_[row]; }
+  /// The days of a kDate row.
+  int32_t date_days(uint32_t row) const { return dates_[row]; }
+  /// ToLowerAscii of the row's text.
+  std::string_view lower(uint32_t row) const {
+    return std::string_view(chars_).substr(
+        char_begin_[row], char_begin_[row + 1] - char_begin_[row]);
+  }
+  std::span<const uint32_t> trigrams(uint32_t row) const {
+    return {grams_.data() + gram_begin_[row],
+            grams_.data() + gram_begin_[row + 1]};
+  }
+  size_t num_tokens(uint32_t row) const {
+    return token_begin_[row + 1] - token_begin_[row];
+  }
+  /// The row's `k`th token in sorted order (WordTokens of `lower(row)`).
+  std::string_view token(uint32_t row, size_t k) const {
+    const Substr t = tokens_[token_begin_[row] + k];
+    return std::string_view(token_chars_).substr(t.begin, t.size);
+  }
+  const TermSketch& sketch(uint32_t row) const { return sketches_[row]; }
+
+ private:
+  /// A token's bytes in token_chars_.
+  struct Substr {
+    uint32_t begin = 0;
+    uint32_t size = 0;
+  };
+
+  std::vector<ValueKind> kinds_;
+  std::vector<double> reals_;
+  std::vector<int32_t> dates_;
+  std::string chars_;
+  std::vector<uint32_t> char_begin_ = {0};  ///< One per row, plus one.
+  std::vector<uint32_t> grams_;
+  std::vector<uint32_t> gram_begin_ = {0};  ///< One per row, plus one.
+  std::string token_chars_;
+  std::vector<Substr> tokens_;
+  std::vector<uint32_t> token_begin_ = {0};  ///< One per row, plus one.
+  std::vector<TermSketch> sketches_;
+};
+
+/// Work done by the table-based ValueSimilarity: cells whose score it
+/// computed, and string cells whose sketch bound fell below θ, settled
+/// without running the metrics.
 struct CellCounts {
   uint64_t scored = 0;
   uint64_t skipped = 0;
 };
 
-/// Profile-accelerated variant: `pa`/`pb` must be the StringProfiles of
-/// `a.text`/`b.text`. The string branch runs on the precomputed profiles
-/// (no lowercasing/tokenization/trigram extraction per call) and returns
-/// 0.0 without merging them when ProfilesDisjoint(pa, pb). Adds the cell to
-/// `*cells`. Returns bit-identical doubles to the two-argument overload.
-double ValueSimilarity(const TypedValue& a, const TypedValue& b,
-                       const StringProfile& pa, const StringProfile& pb,
-                       CellCounts* cells);
+/// ValueSimilarity of row `i` of `a` and row `j` of `b`, for a similarity
+/// matrix that keeps only scores of at least `theta`. The string branch
+/// merges the rows' pooled trigrams and tokens (no lowercasing,
+/// tokenization or trigram extraction per call), and returns 0.0 without
+/// merging when SketchUpperBound of the rows' sketches is below `theta`.
+/// Adds the cell to `*cells`. Every cell it scores is bit-identical to the
+/// two-argument overload on the rows' values; a skipped cell's exact score
+/// is below `theta` too.
+double ValueSimilarity(const ValueTable& a, uint32_t i, const ValueTable& b,
+                       uint32_t j, double theta, CellCounts* cells);
 
 /// Parses both terms and delegates to ValueSimilarity.
 double TermSimilarity(const rdf::Term& a, const rdf::Term& b);

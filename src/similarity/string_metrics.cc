@@ -94,9 +94,6 @@ double TokenJaccardSimilarity(std::string_view a, std::string_view b) {
   return static_cast<double>(inter) / static_cast<double>(uni);
 }
 
-namespace {
-
-// Packs a character trigram into a 32-bit key.
 std::vector<uint32_t> Trigrams(std::string_view s) {
   std::vector<uint32_t> grams;
   if (s.size() < 3) return grams;
@@ -110,8 +107,6 @@ std::vector<uint32_t> Trigrams(std::string_view s) {
   }
   return grams;
 }
-
-}  // namespace
 
 double TrigramDiceSimilarity(std::string_view a, std::string_view b) {
   if (a.size() < 3 || b.size() < 3) return a == b ? 1.0 : 0.0;
@@ -131,80 +126,71 @@ double TrigramDiceSimilarity(std::string_view a, std::string_view b) {
          static_cast<double>(ga.size() + gb.size());
 }
 
-StringProfile MakeStringProfile(std::string_view s) {
-  StringProfile p;
-  p.lower = ToLowerAscii(s);
-  p.tokens = WordTokens(p.lower);
-  std::sort(p.tokens.begin(), p.tokens.end());
-  p.tokens.erase(std::unique(p.tokens.begin(), p.tokens.end()),
-                 p.tokens.end());
-  p.trigrams = Trigrams(p.lower);
-  std::sort(p.trigrams.begin(), p.trigrams.end());
-  // Fibonacci hashing: the top 7 bits of the 24-bit gram times 2^32/phi.
-  for (uint32_t g : p.trigrams) {
-    const uint32_t bit = (g * 0x9E3779B1u) >> 25;
-    p.gram_mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+namespace {
+
+/// Adds one to a sketch bucket; false once it passes 31.
+bool Bump(uint8_t* bucket) {
+  return ++*bucket <= 31;
+}
+
+/// Sum over buckets of the smaller count. A plain loop the compiler
+/// vectorizes: byte lane k adds the N / 16 buckets k, k + 16, ..., which
+/// stays within a byte for buckets of at most 31.
+template <size_t N>
+uint32_t MinSum(const std::array<uint8_t, N>& a,
+                const std::array<uint8_t, N>& b) {
+  static_assert(N % 16 == 0 && N / 16 * 31 <= 255);
+  std::array<uint8_t, 16> lanes = {};
+  for (size_t i = 0; i < N; i += 16) {
+    for (size_t k = 0; k < 16; ++k) {
+      lanes[k] =
+          static_cast<uint8_t>(lanes[k] + std::min(a[i + k], b[i + k]));
+    }
   }
-  // FNV-1a, then the top 6 bits of its product with 2^64/phi.
-  for (const std::string& token : p.tokens) {
+  uint32_t sum = 0;
+  for (uint8_t lane : lanes) sum += lane;
+  return sum;
+}
+
+}  // namespace
+
+TermSketch MakeTermSketch(std::span<const uint32_t> trigrams,
+                          std::span<const std::string> tokens) {
+  TermSketch s;
+  s.num_grams = static_cast<uint32_t>(trigrams.size());
+  s.num_tokens = static_cast<uint32_t>(tokens.size());
+  bool fits = true;
+  // Fibonacci hashing: the top 7 bits of the 24-bit gram times 2^32/phi.
+  for (uint32_t g : trigrams) {
+    fits &= Bump(&s.grams[(g * 0x9E3779B1u) >> 25]);
+  }
+  // FNV-1a, then the top 5 bits of its product with 2^64/phi.
+  for (const std::string& token : tokens) {
     uint64_t h = 0xcbf29ce484222325ULL;
     for (unsigned char c : token) {
       h ^= c;
       h *= 0x100000001b3ULL;
     }
-    p.token_mask |= uint64_t{1} << ((h * 0x9E3779B97F4A7C15ULL) >> 58);
+    fits &= Bump(&s.tokens[(h * 0x9E3779B97F4A7C15ULL) >> 59]);
   }
-  return p;
+  s.prunable = fits && !trigrams.empty() && !tokens.empty();
+  return s;
 }
 
-double TokenJaccardSimilarity(const StringProfile& a, const StringProfile& b) {
-  // Mirrors the hash-set original: empty token lists short-circuit, then
-  // Jaccard over the distinct-token sets. Two-pointer intersection over the
-  // sorted unique arrays counts exactly |sa ∩ sb|.
-  if (a.tokens.empty() && b.tokens.empty()) return 1.0;
-  if (a.tokens.empty() || b.tokens.empty()) return 0.0;
-  size_t inter = 0;
-  auto ia = a.tokens.begin();
-  auto ib = b.tokens.begin();
-  while (ia != a.tokens.end() && ib != b.tokens.end()) {
-    const int cmp = ia->compare(*ib);
-    if (cmp < 0) {
-      ++ia;
-    } else if (cmp > 0) {
-      ++ib;
-    } else {
-      ++inter;
-      ++ia;
-      ++ib;
-    }
-  }
-  const size_t uni = a.tokens.size() + b.tokens.size() - inter;
-  return static_cast<double>(inter) / static_cast<double>(uni);
-}
-
-double TrigramDiceSimilarity(const StringProfile& a, const StringProfile& b) {
-  // Mirrors the counting-map original: multiset intersection size is
-  // sum over gram values of min(count_a, count_b), which the two-pointer
-  // merge over the sorted multisets computes directly.
-  if (a.lower.size() < 3 || b.lower.size() < 3) {
-    return a.lower == b.lower ? 1.0 : 0.0;
-  }
-  size_t inter = 0;
-  auto ia = a.trigrams.begin();
-  auto ib = b.trigrams.begin();
-  while (ia != a.trigrams.end() && ib != b.trigrams.end()) {
-    if (*ia < *ib) {
-      ++ia;
-    } else if (*ib < *ia) {
-      ++ib;
-    } else {
-      ++inter;
-      ++ia;
-      ++ib;
-    }
-  }
-  return 2.0 * static_cast<double>(inter) /
-         static_cast<double>(a.trigrams.size() + b.trigrams.size());
+double SketchUpperBound(const TermSketch& a, const TermSketch& b) {
+  if (!a.prunable || !b.prunable) return 1.0;
+  // gi >= |grams(a) ∩ grams(b)| and min(ta, tb) >= ti >= |tokens(a) ∩
+  // tokens(b)|: larger numerators over the metrics' denominators (Jaccard's
+  // shrinks as ti grows), so each quotient bounds its metric.
+  const size_t gi = MinSum(a.grams, b.grams);
+  const size_t ti = MinSum(a.tokens, b.tokens);
+  const double dice =
+      2.0 * static_cast<double>(gi) /
+      static_cast<double>(size_t{a.num_grams} + size_t{b.num_grams});
+  const double jaccard =
+      static_cast<double>(ti) /
+      static_cast<double>(size_t{a.num_tokens} + size_t{b.num_tokens} - ti);
+  return std::max(dice, jaccard);
 }
 
 }  // namespace alex::sim

@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -29,47 +30,39 @@ double TokenJaccardSimilarity(std::string_view a, std::string_view b);
 /// to whole-string equality).
 double TrigramDiceSimilarity(std::string_view a, std::string_view b);
 
-/// Precomputed derived forms of one string, so repeated comparisons stop
-/// re-lowercasing, re-tokenizing, and re-extracting trigrams per call —
-/// those allocations dominate the cost of TokenJaccardSimilarity /
-/// TrigramDiceSimilarity when the same value is compared many times (as in
-/// link-space construction, where each attribute value meets every blocked
-/// counterpart).
-struct StringProfile {
-  std::string lower;                // ToLowerAscii of the original string.
-  std::vector<std::string> tokens;  // Sorted, deduplicated WordTokens(lower).
-  std::vector<uint32_t> trigrams;   // Sorted trigram multiset of `lower`.
-  /// One bit per trigram (a fixed hash to 0..127) and one bit per token (a
-  /// fixed hash to 0..63): two profiles whose masks do not intersect share
-  /// no trigram and no token. The hashes are platform-independent.
-  std::array<uint64_t, 2> gram_mask = {0, 0};
-  uint64_t token_mask = 0;
+/// Packs each contiguous character trigram of `s` into 24 bits, in order
+/// (empty for strings under 3 characters).
+std::vector<uint32_t> Trigrams(std::string_view s);
+
+/// Count sketch of one lowercase string: its trigram multiset hashed into
+/// 128 buckets and its distinct-token set hashed into 32, one byte per
+/// bucket. For two sketches, the sum over buckets of the smaller count is
+/// at least the size of the trigram multiset intersection (and likewise of
+/// the distinct-token intersection): grams or tokens the strings share fall
+/// in the same bucket on both sides. The hashes are fixed, so a sketch is
+/// the same on every platform.
+struct TermSketch {
+  std::array<uint8_t, 128> grams = {};
+  std::array<uint8_t, 32> tokens = {};
+  uint32_t num_grams = 0;   // Trigram multiset size.
+  uint32_t num_tokens = 0;  // Distinct tokens.
+  /// False for strings under 3 characters (trigram Dice falls back to
+  /// equality), token-less strings (token Jaccard of two empty sets is 1)
+  /// and strings with a bucket past 31; SketchUpperBound is then 1.0.
+  bool prunable = false;
 };
 
-/// Builds the profile of `s` (lowercasing it first, matching the
-/// StringSimilarity(string_view, string_view) pipeline).
-StringProfile MakeStringProfile(std::string_view s);
+/// Sketch of a lowercase string from its trigram multiset (Trigrams) and
+/// its distinct word tokens.
+TermSketch MakeTermSketch(std::span<const uint32_t> trigrams,
+                          std::span<const std::string> tokens);
 
-/// Profile-based variants. Each returns bit-identical doubles to its
-/// string_view counterpart applied to the profiles' `lower` strings: the
-/// set/multiset intersection sizes are computed by two-pointer merges over
-/// the sorted profile arrays, which yield the same integer counts as the
-/// hash-based originals, and the final arithmetic is unchanged.
-double TokenJaccardSimilarity(const StringProfile& a, const StringProfile& b);
-double TrigramDiceSimilarity(const StringProfile& a, const StringProfile& b);
-
-/// True when the masks prove that `a` and `b` share no trigram and no
-/// token, and both strings have at least 3 characters and at least one
-/// token. Both profile metrics then score exactly 0.0: trigram Dice is
-/// 0 / (|a| + |b|) and token Jaccard is 0 / |a ∪ b|. Never true for a pair
-/// that shares a trigram or a token; a mask collision only makes it false
-/// for a pair that shares neither.
-inline bool ProfilesDisjoint(const StringProfile& a, const StringProfile& b) {
-  return a.lower.size() >= 3 && b.lower.size() >= 3 && !a.tokens.empty() &&
-         !b.tokens.empty() && (a.token_mask & b.token_mask) == 0 &&
-         (a.gram_mask[0] & b.gram_mask[0]) == 0 &&
-         (a.gram_mask[1] & b.gram_mask[1]) == 0;
-}
+/// Upper bound on max(TrigramDiceSimilarity, TokenJaccardSimilarity) of the
+/// two sketched strings: the metrics' own double formulas applied to the
+/// bucket-wise min-sums, which are at least the exact intersections, so
+/// rounding cannot put the bound below either metric. 1.0 unless both
+/// sketches are prunable.
+double SketchUpperBound(const TermSketch& a, const TermSketch& b);
 
 }  // namespace alex::sim
 

@@ -13,6 +13,10 @@ namespace alex::sim {
 /// (paper Section 4.1: "string, integer, float, date, etc.").
 enum class ValueKind : uint8_t { kString = 0, kInteger, kDouble, kDate };
 
+inline bool IsNumeric(ValueKind kind) {
+  return kind == ValueKind::kInteger || kind == ValueKind::kDouble;
+}
+
 /// A parsed, typed attribute value.
 ///
 /// Parsing prefers the literal's XSD datatype when present and falls back to
@@ -26,9 +30,7 @@ struct TypedValue {
   double real = 0.0;     // Valid when kind == kDouble or kInteger.
   int32_t date_days = 0; // Days since 1970-01-01 when kind == kDate.
 
-  bool is_numeric() const {
-    return kind == ValueKind::kInteger || kind == ValueKind::kDouble;
-  }
+  bool is_numeric() const { return IsNumeric(kind); }
 };
 
 /// Parses an RDF term into a typed value (never fails; worst case kString).

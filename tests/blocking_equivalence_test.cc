@@ -10,8 +10,8 @@
 // produced every one of them bit for bit. They cannot be regenerated from
 // current sources, only re-verified. The check against the uncached
 // ComputeFeatureSet stays a live comparison. Beside each digest, the
-// similarity-matrix cells the build scored and the cells the gram/token
-// masks skipped are pinned, so a change in how much work the build does
+// similarity-matrix cells the build scored and the cells whose sketch bound
+// fell below θ are pinned, so a change in how much work the build does
 // shows even when its output does not change.
 
 #include <algorithm>
@@ -132,7 +132,7 @@ TEST(BlockingEquivalenceTest, NoisyPersonScenario) {
       0xf44a1f060734da81ull, 0xf6ff0639cce3e551ull, 0x5c05f7f0d198a17bull,
       0xa435bd5a27f854a3ull};
   const std::vector<CellCounts> golden_cells = {
-      {42527, 69103}, {13839, 22761}, {13788, 22392}, {14900, 23950}};
+      {22825, 88805}, {7545, 29055}, {7343, 28837}, {7937, 30913}};
   std::vector<CellCounts> cells;
   EXPECT_EQ(ScenarioDigests(config, 20000, &cells), golden);
   EXPECT_EQ(cells, golden_cells);
@@ -155,7 +155,7 @@ TEST(BlockingEquivalenceTest, AmbiguousMultiDomainScenarioWithTightCap) {
       0x348e7fddb82f8bc5ull, 0xff5fb3d7dd200767ull, 0x3eec8af1bc5f68bdull,
       0x8edb06973404e964ull};
   const std::vector<CellCounts> golden_cells = {
-      {15086, 21910}, {9691, 13224}, {6677, 9233}, {8877, 13183}};
+      {7624, 29372}, {4426, 18489}, {3095, 12815}, {4855, 17205}};
   std::vector<CellCounts> cells;
   EXPECT_EQ(ScenarioDigests(config, 150, &cells), golden);
   EXPECT_EQ(cells, golden_cells);
@@ -177,7 +177,7 @@ TEST(BlockingEquivalenceTest, SingleShotWrapperMatchesGolden) {
   LinkSpace wrapped;
   wrapped.Build(pair.left, pair.right, lefts, 0.3, 20000);
   EXPECT_EQ(SpaceDigest(wrapped), 0x02d3e2b1ee02656full);
-  EXPECT_EQ(Cells(wrapped), CellCounts(2149, 3371));
+  EXPECT_EQ(Cells(wrapped), CellCounts(1315, 4205));
 }
 
 TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
@@ -194,7 +194,7 @@ TEST(BlockingEquivalenceTest, PartitionedBuildMatchesGolden) {
       0x6f99e9cd1897874full, 0xf37aafea2eb5bdbfull, 0xbd6adb458c7f8f9dull,
       0x5830d50e7f28d094ull};
   const std::vector<CellCounts> golden_cells = {
-      {7074, 11724}, {4997, 7933}, {6452, 10126}, {5207, 7678}};
+      {3512, 15286}, {2080, 10850}, {3147, 13431}, {2268, 10617}};
   // The build is invariant to the thread count.
   for (size_t threads : {1, 2, 4}) {
     AlexConfig config;

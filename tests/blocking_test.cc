@@ -132,12 +132,14 @@ TEST_F(TermKeyCacheTest, ValueCacheMatchesDirectParse) {
   ValueCache values(ds_);
   const auto common = ds_.dict().Lookup(Term::Literal("Common Value"));
   ASSERT_TRUE(common.has_value());
-  const sim::TypedValue& cached = values.value(*common);
+  const uint32_t row = values.row(*common);
   const sim::TypedValue direct = sim::ParseValue(ds_.dict().term(*common));
-  EXPECT_EQ(cached.kind, direct.kind);
-  EXPECT_EQ(cached.text, direct.text);
-  // Stable storage: repeated lookups alias the same cached object.
-  EXPECT_EQ(&values.value(*common), &cached);
+  EXPECT_EQ(values.table().kind(row), direct.kind);
+  EXPECT_EQ(values.table().lower(row), ToLowerAscii(direct.text));
+  // One row per distinct attribute object: repeated lookups of a term
+  // return its one row.
+  EXPECT_EQ(values.row(*common), row);
+  EXPECT_LT(row, values.table().size());
 }
 
 TEST(ValueCacheTypedTest, NumericAndDateTermsParseOnce) {
@@ -149,15 +151,19 @@ TEST(ValueCacheTypedTest, NumericAndDateTermsParseOnce) {
                       Term::Literal("2.06"));
   ds.BuildEntityIndex();
   ValueCache values(ds);
+  EXPECT_EQ(values.table().size(), 3u);
   const auto year = ds.dict().Lookup(Term::Literal("1984"));
   const auto born = ds.dict().Lookup(Term::Literal("1984-12-30"));
   const auto height = ds.dict().Lookup(Term::Literal("2.06"));
   ASSERT_TRUE(year && born && height);
-  EXPECT_EQ(values.value(*year).kind, sim::ValueKind::kInteger);
-  EXPECT_EQ(values.value(*year).integer, 1984);
-  EXPECT_EQ(values.value(*born).kind, sim::ValueKind::kDate);
-  EXPECT_EQ(values.value(*height).kind, sim::ValueKind::kDouble);
-  EXPECT_DOUBLE_EQ(values.value(*height).real, 2.06);
+  const sim::ValueTable& table = values.table();
+  EXPECT_EQ(table.kind(values.row(*year)), sim::ValueKind::kInteger);
+  EXPECT_EQ(table.real(values.row(*year)), 1984.0);
+  EXPECT_EQ(table.kind(values.row(*born)), sim::ValueKind::kDate);
+  EXPECT_EQ(table.date_days(values.row(*born)),
+            sim::ParseValue(Term::Literal("1984-12-30")).date_days);
+  EXPECT_EQ(table.kind(values.row(*height)), sim::ValueKind::kDouble);
+  EXPECT_DOUBLE_EQ(table.real(values.row(*height)), 2.06);
 }
 
 TEST(BlockingIndexTest, InvertsRightDatasetOnce) {

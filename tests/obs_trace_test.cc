@@ -208,20 +208,33 @@ TEST_F(TraceRecorderTest, ConcurrentWritersDuringExportStaySane) {
   // Writers keep recording while another thread repeatedly snapshots and
   // exports; the exercise is for TSan (this test is in the sanitize label),
   // and the invariant checked here is that every export is internally
-  // consistent (balanced JSON, monotone event order).
+  // consistent (balanced JSON, monotone event order). Each writer records a
+  // fixed slice of spans per export round, starting it as the round starts,
+  // so every round overlaps the writers and the rings stay small.
+  constexpr int kWriters = 3;
+  constexpr int kRounds = 20;
+  constexpr int kSpansPerRound = 100;
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetEnabled(true);
-  std::atomic<bool> stop{false};
+  std::atomic<int> round_started{0};
   std::vector<std::thread> writers;
-  for (int t = 0; t < 3; ++t) {
-    writers.emplace_back([&stop] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        TraceSpan span("test", "concurrent");
-        span.AddArg("writer", 1);
+  for (int t = 0; t < kWriters; ++t) {
+    writers.emplace_back([&round_started] {
+      for (int round = 0; round < kRounds; ++round) {
+        for (int seen = round_started.load(); seen < round;
+             seen = round_started.load()) {
+          round_started.wait(seen);
+        }
+        for (int i = 0; i < kSpansPerRound; ++i) {
+          TraceSpan span("test", "concurrent");
+          span.AddArg("writer", 1);
+        }
       }
     });
   }
-  for (int round = 0; round < 20; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
+    round_started.store(round);
+    round_started.notify_all();
     const std::vector<TraceEvent> events = recorder.Events();
     for (size_t i = 1; i < events.size(); ++i) {
       EXPECT_LE(events[i - 1].ts_micros, events[i].ts_micros);
@@ -232,7 +245,6 @@ TEST_F(TraceRecorderTest, ConcurrentWritersDuringExportStaySane) {
     EXPECT_EQ(std::count(json.begin(), json.end(), '{'),
               std::count(json.begin(), json.end(), '}'));
   }
-  stop.store(true);
   for (std::thread& writer : writers) writer.join();
   recorder.SetEnabled(false);
 }

@@ -1,6 +1,8 @@
 #include "similarity/string_metrics.h"
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -74,16 +76,34 @@ TEST(TrigramDiceTest, MultisetSemantics) {
   EXPECT_NEAR(TrigramDiceSimilarity("aaaa", "aaa"), 2.0 / 3, 1e-9);
 }
 
-TEST(StringProfileTest, MasksComeFromFixedHashes) {
-  // Pinned bits: the masks use fixed hashes, not std::hash, so a build's
-  // skipped-cell counts repeat on every platform.
-  const StringProfile p = MakeStringProfile("LeBron James");
-  EXPECT_EQ(p.gram_mask[0], 0x0001000020090000ULL);
-  EXPECT_EQ(p.gram_mask[1], 0x0004002844000000ULL);
-  EXPECT_EQ(p.token_mask, 0x4000000000000020ULL);
-  // No trigrams, no tokens: empty masks.
-  const StringProfile empty = MakeStringProfile("!?");
-  EXPECT_EQ(empty.gram_mask[0] | empty.gram_mask[1] | empty.token_mask, 0u);
+TEST(TermSketchTest, BucketsComeFromFixedHashes) {
+  // Pinned buckets: the sketch uses fixed hashes, not std::hash, so a
+  // build's skipped-cell counts repeat on every platform. Two of the ten
+  // distinct trigrams of "lebron james" share bucket 99.
+  const std::vector<uint32_t> grams = Trigrams("lebron james");
+  const std::vector<std::string> tokens = {"james", "lebron"};
+  const TermSketch s = MakeTermSketch(grams, tokens);
+  std::vector<std::pair<int, int>> gram_buckets;
+  for (int b = 0; b < 128; ++b) {
+    if (s.grams[b] != 0) gram_buckets.emplace_back(b, s.grams[b]);
+  }
+  const std::vector<std::pair<int, int>> expected_grams = {
+      {16, 1}, {19, 1}, {29, 1}, {48, 1}, {90, 1},
+      {94, 1}, {99, 2}, {101, 1}, {114, 1}};
+  EXPECT_EQ(gram_buckets, expected_grams);
+  std::vector<int> token_buckets;
+  for (int b = 0; b < 32; ++b) {
+    if (s.tokens[b] != 0) token_buckets.push_back(b);
+  }
+  EXPECT_EQ(token_buckets, (std::vector<int>{2, 31}));
+  EXPECT_EQ(s.num_grams, 10u);
+  EXPECT_EQ(s.num_tokens, 2u);
+  EXPECT_TRUE(s.prunable);
+  // No trigrams, no tokens: empty buckets, and no pruning.
+  const TermSketch empty = MakeTermSketch({}, {});
+  EXPECT_EQ(empty.grams, TermSketch{}.grams);
+  EXPECT_EQ(empty.tokens, TermSketch{}.tokens);
+  EXPECT_FALSE(empty.prunable);
 }
 
 /// Property sweep: all metrics are symmetric, bounded to [0,1], and reflexive.
