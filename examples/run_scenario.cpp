@@ -26,12 +26,12 @@
 //                             (repeatable), e.g.
 //                             --slo fed.query_seconds:0.99:0.5
 //
-// Example:
+// Examples (one command each; indented lines continue it):
 //   ./build/examples/run_scenario dbpedia_drugbank 1000 0.05 0.0
-//   ./build/examples/run_scenario dbpedia_drugbank 1000 0.05 0.0 0.1 0 \
+//   ./build/examples/run_scenario dbpedia_drugbank 1000 0.05 0.0 0.1 0
 //       --checkpoint-every 10 --checkpoint-dir /tmp/ckpt
-//   ./build/examples/run_scenario dbpedia_drugbank 1000 0.05 0.0 0.1 0 \
-//       --telemetry-interval 1 --slo phase.explore:0.99:5.0 \
+//   ./build/examples/run_scenario dbpedia_drugbank 1000 0.05 0.0 0.1 0
+//       --telemetry-interval 1 --slo phase.explore:0.99:5.0
 //       --telemetry-out /tmp/timeline.json --prom-out /tmp/metrics.prom
 
 #include <algorithm>

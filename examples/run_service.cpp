@@ -23,8 +23,8 @@
 //   --prom-out <file>         Prometheus text exposition
 //   --slo <h>:<q>:<target>    latency SLO, e.g. --slo svc.query_seconds:0.99:0.1
 //
-// Example:
-//   ./build/examples/run_service dbpedia_nytimes 64 100 \
+// Example (one command; indented lines continue it):
+//   ./build/examples/run_service dbpedia_nytimes 64 100
 //       --slo svc.query_seconds:0.99:0.25 --telemetry-interval 0.5
 
 #include <cstdlib>

@@ -9,12 +9,12 @@
 // line or EOF ends the session). The optional links file holds
 // `<left> owl:sameAs <right> .` triples for federated mode.
 //
-// Examples:
+// Examples (one command each; indented lines continue it):
 //   ./build/examples/linking_pipeline          # writes /tmp/alex_demo_*.nt
-//   ./build/examples/sparql_shell /tmp/alex_demo_left.nt \
+//   ./build/examples/sparql_shell /tmp/alex_demo_left.nt
 //       'SELECT ?s ?n WHERE { ?s <http://dbpedia.example.org/ontology/name> ?n . } LIMIT 5'
-//   ./build/examples/sparql_shell --federate /tmp/alex_demo_left.nt \
-//       /tmp/alex_demo_right.nt /tmp/alex_links.nt \
+//   ./build/examples/sparql_shell --federate /tmp/alex_demo_left.nt
+//       /tmp/alex_demo_right.nt /tmp/alex_links.nt
 //       'SELECT * WHERE { ?s ?p ?o . } LIMIT 5'
 
 #include <fstream>

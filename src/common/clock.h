@@ -6,12 +6,12 @@
 
 namespace alex {
 
-/// Injectable time source for everything that waits or measures deadlines
-/// (retry backoff, per-query deadlines, circuit-breaker cool-downs).
+/// Injectable time source for the link service's client think time and the
+/// TelemetryHub's sampling interval.
 ///
-/// Production code uses SteadyClock; tests and the fault-injection benches
-/// use SimClock, where "sleeping" advances virtual time instantly — so a
-/// scenario with seconds of simulated latency and backoff runs in
+/// Production code uses SteadyClock; LinkService's deterministic mode and
+/// the telemetry tests use SimClock, where "sleeping" advances virtual time
+/// instantly — so a run with seconds of simulated think time takes
 /// microseconds of wall time and is bit-for-bit reproducible.
 class Clock {
  public:
@@ -41,7 +41,7 @@ class SteadyClock : public Clock {
 
 /// Deterministic manual clock starting at 0. SleepSeconds advances virtual
 /// time without blocking. Not thread-safe; share only with external
-/// synchronization (the federation layer drives it from one query thread).
+/// synchronization (LinkService drives it from its one client thread).
 class SimClock : public Clock {
  public:
   double NowSeconds() const override { return now_; }

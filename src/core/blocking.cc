@@ -95,20 +95,23 @@ void TermKeyCache::EntityKeys(rdf::EntityId e,
 
 ValueCache::ValueCache(const rdf::Dataset& ds) {
   ALEX_TRACE_SPAN("build", "ValueCache");
-  // Pass 1 numbers the attribute objects in first-occurrence order, so
-  // pass 2 fills a table sized once.
+  // Pass 1 numbers the attribute objects in first-occurrence order and
+  // sums the sizes of their texts, so pass 2 fills a table whose columns
+  // and character and trigram pools are each allocated once.
   constexpr uint32_t kNoRow = UINT32_MAX;
   rows_.assign(ds.dict().size(), kNoRow);
   std::vector<rdf::TermId> objects;
+  sim::ValueTable::Capacity capacity;
   for (rdf::EntityId e = 0; e < ds.num_entities(); ++e) {
     for (const rdf::Attribute& a : ds.attributes(e)) {
       if (a.object < rows_.size() && rows_[a.object] == kNoRow) {
         rows_[a.object] = static_cast<uint32_t>(objects.size());
         objects.push_back(a.object);
+        capacity.Count(sim::ValueText(ds.dict().term(a.object)));
       }
     }
   }
-  table_.Reserve(objects.size());
+  table_.Reserve(capacity);
   for (rdf::TermId t : objects) table_.Add(sim::ParseValue(ds.dict().term(t)));
 }
 

@@ -18,8 +18,7 @@ bool Endpoint::CanAnswer(const sparql::TriplePatternAst& pattern) const {
   return p.is_iri() && HasPredicate(p.value);
 }
 
-Status Endpoint::Probe(const PatternProbe& probe, const CallOptions& /*opts*/,
-                       const ProbeRowFn& fn) const {
+Status Endpoint::Probe(const PatternProbe& probe, const ProbeRowFn& fn) const {
   const rdf::Term* const comps[3] = {probe.subject, probe.predicate,
                                      probe.object};
   rdf::TriplePattern pattern;

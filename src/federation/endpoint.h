@@ -6,7 +6,6 @@
 #include <unordered_set>
 
 #include "common/result.h"
-#include "common/retry.h"
 #include "rdf/dataset.h"
 #include "sparql/ast.h"
 #include "sparql/evaluator.h"
@@ -23,15 +22,6 @@ struct PatternProbe {
   const rdf::Term* object = nullptr;
 };
 
-/// Per-call budgets, in (virtual) seconds. `timeout_seconds` is the
-/// relative budget of a single attempt; `deadline_seconds` is an absolute
-/// clock reading bounding the whole query (see Clock). Both default to
-/// unbounded, which every layer treats as "no limit".
-struct CallOptions {
-  double timeout_seconds = kNoTimeout;
-  double deadline_seconds = kNoTimeout;
-};
-
 /// Receives one match of a probe. Slots that were bound in the probe are
 /// null (the caller already holds those terms); unbound slots point at the
 /// endpoint's term for that component, valid only during the call. Return
@@ -40,10 +30,9 @@ using ProbeRowFn = std::function<bool(
     const rdf::Term* s, const rdf::Term* p, const rdf::Term* o)>;
 
 /// A federation member as the engine sees it: source-selection metadata
-/// plus a fallible, budgeted triple-pattern probe. The in-process Endpoint
-/// below never fails; FaultInjectedEndpoint simulates unreliable remote
-/// endpoints and ResilientEndpoint adds retry/backoff and circuit breaking
-/// — all behind this interface, so the engine is oblivious to the stack.
+/// plus a fallible triple-pattern probe. The stack behind it is the
+/// in-process Endpoint below, optionally fronted by a CachingEndpoint; the
+/// interface stays abstract so tests can substitute a fake that fails.
 class QueryEndpoint {
  public:
   virtual ~QueryEndpoint() = default;
@@ -56,9 +45,9 @@ class QueryEndpoint {
   virtual bool CanAnswer(const sparql::TriplePatternAst& pattern) const = 0;
 
   /// Streams every match of `probe` through `fn`. Returns non-OK when the
-  /// endpoint (or its simulated transport) fails; a probe mentioning terms
-  /// unknown to this endpoint is OK with zero matches.
-  virtual Status Probe(const PatternProbe& probe, const CallOptions& opts,
+  /// endpoint fails; a probe mentioning terms unknown to this endpoint is
+  /// OK with zero matches.
+  virtual Status Probe(const PatternProbe& probe,
                        const ProbeRowFn& fn) const = 0;
 };
 
@@ -81,10 +70,8 @@ class Endpoint final : public QueryEndpoint {
 
   bool CanAnswer(const sparql::TriplePatternAst& pattern) const override;
 
-  /// In-process probe: dictionary lookups plus an index scan. Always OK;
-  /// `opts` budgets are irrelevant at in-process speeds.
-  Status Probe(const PatternProbe& probe, const CallOptions& opts,
-               const ProbeRowFn& fn) const override;
+  /// In-process probe: dictionary lookups plus an index scan. Always OK.
+  Status Probe(const PatternProbe& probe, const ProbeRowFn& fn) const override;
 
  private:
   const rdf::Dataset* dataset_;

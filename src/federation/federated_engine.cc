@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <chrono>
 #include <cstring>
 #include <unordered_set>
 
@@ -23,20 +24,14 @@ using sparql::TriplePatternAst;
 /// provenance as id pairs (materialized to strings only at emit), and
 /// DISTINCT keyed on interned id tuples. Patterns are enumerated depth
 /// first in plan order; for each, endpoints are tried left then right and
-/// substitutions in co-referent insertion order, so the probe sequence (and
-/// with it every fault-injection RNG draw) depends only on the query, the
-/// link index and the rows the endpoints return.
+/// substitutions in co-referent insertion order, so the probe sequence
+/// depends only on the query, the link index and the rows the endpoints
+/// return.
 class CompiledExecution {
  public:
   CompiledExecution(const QueryEndpoint* left, const QueryEndpoint* right,
-                    const LinkIndex* links, const CompiledQuery& plan,
-                    const Clock* clock, double deadline_seconds)
-      : left_(left), right_(right), links_(links), plan_(plan),
-        clock_(clock) {
-    if (clock_ != nullptr && deadline_seconds < kNoTimeout) {
-      opts_.deadline_seconds = clock_->NowSeconds() + deadline_seconds;
-    }
-  }
+                    const LinkIndex* links, const CompiledQuery& plan)
+      : left_(left), right_(right), links_(links), plan_(plan) {}
 
   Result<FederatedResult> Run();
 
@@ -62,17 +57,10 @@ class CompiledExecution {
 
   void RecordProbeFailure(const QueryEndpoint* target, const Status& status);
 
-  bool DeadlineExpired() const {
-    return clock_ != nullptr &&
-           clock_->NowSeconds() >= opts_.deadline_seconds;
-  }
-
   const QueryEndpoint* left_;
   const QueryEndpoint* right_;
   const LinkIndex* links_;
   const CompiledQuery& plan_;
-  const Clock* clock_;
-  CallOptions opts_;
 
   /// Current binding of each variable slot (nullptr = unbound). Pointees
   /// are owned by the plan's constant pool, the LinkIndex term arena, or
@@ -86,7 +74,6 @@ class CompiledExecution {
   FederatedResult result_;
   rdf::Dictionary row_dict_;  // Interns emitted terms for DISTINCT keys.
   std::unordered_set<std::string> distinct_seen_;
-  bool stop_ = false;
 };
 
 void CompiledExecution::ExpandForEndpoint(const Term& term,
@@ -154,7 +141,6 @@ void CompiledExecution::RecordProbeFailure(const QueryEndpoint* target,
   for (EndpointError& err : result_.errors) {
     if (err.endpoint == name) {
       ++err.failed_probes;
-      if (DeadlineExpired()) stop_ = true;
       return;
     }
   }
@@ -164,7 +150,6 @@ void CompiledExecution::RecordProbeFailure(const QueryEndpoint* target,
   err.message = status.message();
   err.failed_probes = 1;
   result_.errors.push_back(std::move(err));
-  if (DeadlineExpired()) stop_ = true;
 }
 
 bool CompiledExecution::MatchAtEndpoint(size_t pi,
@@ -225,7 +210,7 @@ bool CompiledExecution::MatchAtEndpoint(size_t pi,
           ++stats->probes;
         }
         const Status st = target->Probe(
-            probe, opts_,
+            probe,
             [&](const Term* s, const Term* p, const Term* o) {
               const Term* values[3] = {s, p, o};
               int32_t bound_here[3];
@@ -250,7 +235,7 @@ bool CompiledExecution::MatchAtEndpoint(size_t pi,
         probe_span.AddArg("ok", st.ok());
         if (!st.ok()) RecordProbeFailure(target, st);
         for (size_t k = 0; k < links_added; ++k) links_stack_.pop_back();
-        if (!keep_going || stop_) return false;
+        if (!keep_going) return false;
       }
     }
   }
@@ -259,7 +244,6 @@ bool CompiledExecution::MatchAtEndpoint(size_t pi,
 
 bool CompiledExecution::MatchFrom(size_t pi) {
   if (pi == plan_.patterns().size()) return EmitSolution();
-  if (stop_) return false;
   const TriplePatternAst& tp =
       plan_.query().where[plan_.patterns()[pi].where_index];
   for (const QueryEndpoint* target : {left_, right_}) {
@@ -275,14 +259,6 @@ Result<FederatedResult> CompiledExecution::Run() {
   scratch_.resize(plan_.patterns().size());
 
   MatchFrom(0);
-  if (stop_) {
-    result_.degraded = true;
-    EndpointError err;
-    err.endpoint = "query";
-    err.code = StatusCode::kDeadlineExceeded;
-    err.message = "query deadline expired during enumeration";
-    result_.errors.push_back(std::move(err));
-  }
 
   if (plan_.has_order_by()) {
     if (!plan_.order_by_valid()) {
@@ -314,12 +290,6 @@ FederatedEngine::FederatedEngine(const QueryEndpoint* left,
                                  const LinkIndex* links)
     : left_(left), right_(right), links_(links) {}
 
-void FederatedEngine::SetQueryDeadline(const Clock* clock,
-                                       double deadline_seconds) {
-  clock_ = clock;
-  deadline_seconds_ = deadline_seconds;
-}
-
 template <typename Fn>
 Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
   // Declared FIRST so it destructs LAST: whatever the spans and stats scope
@@ -328,9 +298,8 @@ Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
   // from a clean context instead of inheriting this query's trace id or a
   // dangling tally pointer.
   obs::ThreadStateGuard thread_state_guard;
-  // Root of the query's causal tree: every probe, cache lookup, retry
-  // attempt, and breaker decision below inherits this span's trace id
-  // through the thread-local context.
+  // Root of the query's causal tree: every probe and cache lookup below
+  // inherits this span's trace id through the thread-local context.
   ALEX_TRACE_ROOT_SPAN_VAR(query_span, "federation",
                            "FederatedEngine::Execute");
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
@@ -347,23 +316,11 @@ Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
   queries.Add(1);
   obs::ActiveQueryStats active;
   obs::QueryStatsScope stats_scope(&active);
-  // Latency follows the engine's injected clock when present (SimClock
-  // scenarios then report virtual latency — backoff and injected delays —
-  // deterministically); wall time otherwise.
-  const double start_seconds = clock_ != nullptr
-                                   ? clock_->NowSeconds()
-                                   : std::chrono::duration<double>(
-                                         std::chrono::steady_clock::now()
-                                             .time_since_epoch())
-                                         .count();
+  const auto start = std::chrono::steady_clock::now();
   Result<FederatedResult> result = run();
-  const double end_seconds = clock_ != nullptr
-                                 ? clock_->NowSeconds()
-                                 : std::chrono::duration<double>(
-                                       std::chrono::steady_clock::now()
-                                           .time_since_epoch())
-                                       .count();
-  const double latency_seconds = std::max(0.0, end_seconds - start_seconds);
+  const double latency_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
   query_seconds.Observe(latency_seconds);
 
   obs::QueryStats record;
@@ -372,8 +329,6 @@ Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
   record.probes = active.probes;
   record.probe_cache_hits = active.probe_cache_hits;
   record.probe_cache_misses = active.probe_cache_misses;
-  record.retries = active.retries;
-  record.breaker_rejections = active.breaker_rejections;
   record.failed = !result.ok();
 
   if (result.ok()) {
@@ -396,7 +351,6 @@ Result<FederatedResult> FederatedEngine::Instrumented(Fn&& run) const {
 
   query_span.AddArg("probes", active.probes);
   query_span.AddArg("rows", record.rows);
-  query_span.AddArg("retries", active.retries);
   query_span.AddArg("cache_hits", active.probe_cache_hits);
   query_span.AddArg("degraded", record.degraded);
   query_span.AddArg("ok", result.ok());
@@ -409,19 +363,14 @@ Result<FederatedResult> FederatedEngine::Execute(
   // fed.queries.
   return Instrumented([&]() -> Result<FederatedResult> {
     ALEX_ASSIGN_OR_RETURN(CompiledQuery plan, CompiledQuery::Compile(query));
-    return CompiledExecution(left_, right_, links_, plan, clock_,
-                             deadline_seconds_)
-        .Run();
+    return CompiledExecution(left_, right_, links_, plan).Run();
   });
 }
 
 Result<FederatedResult> FederatedEngine::Execute(
     const CompiledQuery& plan) const {
-  return Instrumented([&] {
-    return CompiledExecution(left_, right_, links_, plan, clock_,
-                             deadline_seconds_)
-        .Run();
-  });
+  return Instrumented(
+      [&] { return CompiledExecution(left_, right_, links_, plan).Run(); });
 }
 
 Result<FederatedResult> FederatedEngine::ExecuteText(

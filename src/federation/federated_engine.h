@@ -4,9 +4,7 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/result.h"
-#include "common/retry.h"
 #include "federation/compiled_query.h"
 #include "federation/endpoint.h"
 #include "federation/link_index.h"
@@ -23,8 +21,7 @@ struct ProvenancedRow {
 };
 
 /// Why part of a federated answer is missing: one entry per endpoint that
-/// failed at least one probe (plus a synthetic "query" entry when the
-/// per-query deadline expired).
+/// failed at least one probe.
 struct EndpointError {
   std::string endpoint;
   StatusCode code = StatusCode::kUnavailable;
@@ -36,10 +33,10 @@ struct EndpointError {
 struct FederatedResult {
   std::vector<std::string> variables;
   std::vector<ProvenancedRow> rows;
-  /// True when any probe failed or the query deadline expired. `rows` then
-  /// holds the answers obtainable from the surviving endpoints — always a
-  /// subset of the fault-free result, never fabricated — so callers (and
-  /// the ALEX feedback loop) can keep working with what arrived.
+  /// True when any probe failed. `rows` then holds the answers obtainable
+  /// from the surviving endpoints — always a subset of the fault-free
+  /// result, never fabricated — so callers (and the ALEX feedback loop) can
+  /// keep working with what arrived.
   bool degraded = false;
   std::vector<EndpointError> errors;
 
@@ -55,13 +52,11 @@ struct FederatedResult {
 /// substituted too, so answers can span datasets; every link crossed this
 /// way is recorded in the row's provenance.
 ///
-/// Fault tolerance: endpoints are reached only through QueryEndpoint::Probe,
-/// so faults, retries, and circuit breaking live in the endpoint stack (see
-/// FaultInjectedEndpoint / ResilientEndpoint). A failed probe degrades the
-/// query — the failing endpoint's contribution is skipped, the error is
-/// recorded, rows from surviving endpoints still flow — instead of failing
-/// it. With plain in-process Endpoints nothing can fail and results are
-/// identical to the pre-fault-tolerance engine, bit for bit.
+/// Degradation: endpoints are reached only through QueryEndpoint::Probe,
+/// which may fail. A failed probe degrades the query — the failing
+/// endpoint's contribution is skipped, the error is recorded, rows from
+/// surviving endpoints still flow — instead of failing it. In-process
+/// Endpoints never fail; query latency is wall time.
 ///
 /// Queries are compiled into CompiledQuery plans (dense variable slots,
 /// per-slot filters, id-level sameAs expansion, DISTINCT keyed on id
@@ -73,12 +68,6 @@ class FederatedEngine {
   /// borrowed and must outlive the engine.
   FederatedEngine(const QueryEndpoint* left, const QueryEndpoint* right,
                   const LinkIndex* links);
-
-  /// Enables a per-query deadline: Execute() stops enumerating (and marks
-  /// the result degraded) once `clock` advances `deadline_seconds` past the
-  /// query start. `clock` is borrowed; pass the same clock the endpoint
-  /// stack uses so injected latency counts against the deadline.
-  void SetQueryDeadline(const Clock* clock, double deadline_seconds);
 
   /// Compiles and executes a parsed SELECT query across the federation.
   Result<FederatedResult> Execute(const sparql::SelectQuery& query) const;
@@ -98,8 +87,6 @@ class FederatedEngine {
   const QueryEndpoint* left_;
   const QueryEndpoint* right_;
   const LinkIndex* links_;
-  const Clock* clock_ = nullptr;
-  double deadline_seconds_ = kNoTimeout;
   mutable PlanCache plan_cache_;
 };
 

@@ -67,12 +67,11 @@ void CachingEndpoint::InsertLocked(const Key& key, Rows rows) const {
 }
 
 Status CachingEndpoint::Probe(const PatternProbe& probe,
-                              const CallOptions& opts,
                               const ProbeRowFn& fn) const {
   const bool cacheable = config_.cache_unbounded_probes ||
                          probe.subject != nullptr ||
                          probe.predicate != nullptr || probe.object != nullptr;
-  if (!cacheable) return inner_->Probe(probe, opts, fn);
+  if (!cacheable) return inner_->Probe(probe, fn);
 
   // Child span of the enclosing pattern_probe; `hit` tells Perfetto (and
   // the linkage test) whether the rows below came from the cache or the
@@ -129,7 +128,7 @@ Status CachingEndpoint::Probe(const PatternProbe& probe,
   bool truncated = false;
   bool oversize = false;
   const Status st = inner_->Probe(
-      probe, opts,
+      probe,
       [&](const rdf::Term* s, const rdf::Term* p, const rdf::Term* o) {
         if (!oversize) {
           if (rows->size() >= config_.max_rows_per_entry) {

@@ -29,17 +29,13 @@ struct ProbeCacheConfig {
 
 /// Caching decorator over any QueryEndpoint: memoizes complete, successful
 /// probe results keyed by the dictionary-encoded pattern triple, so the
-/// bound joins of a federated workload stop re-asking the (simulated)
-/// remote endpoint the same triple-pattern question.
+/// bound joins of a federated workload stop re-asking the endpoint the same
+/// triple-pattern question. The stack is `CachingEndpoint -> Endpoint`.
 ///
-/// Placement: outermost in the decorator stack
-/// (`CachingEndpoint -> ResilientEndpoint -> FaultInjectedEndpoint ->
-/// Endpoint`), so a hit skips the whole retry/latency ladder.
-///
-/// What is never cached — this is what preserves the fault-tolerance
-/// semantics of the undecorated stack bit-for-bit:
-///  - failed probes (any non-OK status, including deadline-truncated ones):
-///    the next probe retries the endpoint for real;
+/// What is never cached — this is what keeps the cached stack's answers
+/// and degradation bit-for-bit those of the undecorated one:
+///  - failed probes (any non-OK status): the next probe asks the endpoint
+///    for real;
 ///  - streams the caller cut short (row callback returned false): the
 ///    cached entry would be missing rows;
 ///  - results larger than `max_rows_per_entry`.
@@ -75,8 +71,7 @@ class CachingEndpoint final : public QueryEndpoint {
     return inner_->CanAnswer(pattern);
   }
 
-  Status Probe(const PatternProbe& probe, const CallOptions& opts,
-               const ProbeRowFn& fn) const override;
+  Status Probe(const PatternProbe& probe, const ProbeRowFn& fn) const override;
 
   /// Drops every cached entry.
   void Flush();

@@ -42,7 +42,6 @@ void QueryLog::Record(const QueryStats& stats) {
   if (stats.degraded) ++totals_.degraded;
   if (stats.failed) ++totals_.failed;
   totals_.probes += stats.probes;
-  totals_.retries += stats.retries;
   totals_.rows += stats.rows;
   totals_.total_latency_seconds += stats.latency_seconds;
 
@@ -82,8 +81,6 @@ void QueryLog::WriteSlowestJson(std::ostream& os,
        << ", \"trace_id\": " << q.trace_id << ", \"probes\": " << q.probes
        << ", \"probe_cache_hits\": " << q.probe_cache_hits
        << ", \"probe_cache_misses\": " << q.probe_cache_misses
-       << ", \"retries\": " << q.retries
-       << ", \"breaker_rejections\": " << q.breaker_rejections
        << ", \"rows\": " << q.rows
        << ", \"degraded\": " << (q.degraded ? "true" : "false")
        << ", \"failed\": " << (q.failed ? "true" : "false") << "}";

@@ -11,8 +11,8 @@ namespace alex::obs {
 
 /// Per-query cost accounting for the federated stack.
 ///
-/// FederatedEngine opens a QueryStatsScope around each query; the endpoint
-/// decorators (probe cache, retry layer, circuit breaker) bump the thread's
+/// FederatedEngine opens a QueryStatsScope around each query; the engine
+/// (probes) and the probe cache (hits, misses) bump the thread's
 /// ActiveQueryStats as the query flows through them. On completion the
 /// engine folds the tallies into a QueryStats record and hands it to the
 /// global QueryLog, which keeps workload-level aggregates plus a bounded
@@ -30,8 +30,6 @@ struct ActiveQueryStats {
   uint64_t probes = 0;
   uint64_t probe_cache_hits = 0;
   uint64_t probe_cache_misses = 0;
-  uint64_t retries = 0;
-  uint64_t breaker_rejections = 0;
 };
 
 /// The tally of the innermost open QueryStatsScope on this thread, or
@@ -87,8 +85,6 @@ struct QueryStats {
   uint64_t probes = 0;
   uint64_t probe_cache_hits = 0;
   uint64_t probe_cache_misses = 0;
-  uint64_t retries = 0;
-  uint64_t breaker_rejections = 0;
   uint64_t rows = 0;
   bool degraded = false;
   bool failed = false;
@@ -111,7 +107,6 @@ class QueryLog {
     uint64_t degraded = 0;
     uint64_t failed = 0;
     uint64_t probes = 0;
-    uint64_t retries = 0;
     uint64_t rows = 0;
     double total_latency_seconds = 0.0;
   };

@@ -31,8 +31,8 @@ namespace alex::obs {
 /// the span id of its parent. A root span (TraceSpan::Root::kNewTrace, used
 /// by FederatedEngine per query) mints a fresh trace id; child spans on the
 /// same thread inherit it through a thread-local TraceContext, so one
-/// federated query — plan execution, probe-cache lookups, retry attempts,
-/// breaker decisions, block-cache reads — exports as one connected tree.
+/// federated query — plan execution, pattern probes, probe-cache lookups —
+/// exports as one connected tree.
 
 /// The ambient causal identity of the calling thread: which trace it is
 /// inside and which span is the innermost open one. {0, 0} means "no open

@@ -41,11 +41,21 @@ double ValueSimilarity(const TypedValue& a, const TypedValue& b) {
   return StringSimilarity(a.text, b.text);
 }
 
-void ValueTable::Reserve(size_t rows) {
+void ValueTable::Capacity::Count(std::string_view text) {
+  ++rows;
+  // Add pools ToLowerAscii(text), which keeps the length, and its trigrams.
+  chars += text.size();
+  if (text.size() >= 3) grams += text.size() - 2;
+}
+
+void ValueTable::Reserve(const Capacity& capacity) {
+  const size_t rows = capacity.rows;
   kinds_.reserve(rows);
   reals_.reserve(rows);
   dates_.reserve(rows);
+  chars_.reserve(capacity.chars);
   char_begin_.reserve(rows + 1);
+  grams_.reserve(capacity.grams);
   gram_begin_.reserve(rows + 1);
   token_begin_.reserve(rows + 1);
   sketches_.reserve(rows);

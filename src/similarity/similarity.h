@@ -34,9 +34,23 @@ double ValueSimilarity(const TypedValue& a, const TypedValue& b);
 /// share across threads.
 class ValueTable {
  public:
-  /// Sizes the per-row columns for `rows` rows, so a table whose row count
-  /// is known up front is allocated once.
-  void Reserve(size_t rows);
+  /// Row count and character and trigram pool sizes for a run of Add
+  /// calls, summed by Count over the text of each value to be added.
+  struct Capacity {
+    size_t rows = 0;
+    size_t chars = 0;
+    size_t grams = 0;
+
+    /// Counts one row whose value has TypedValue::text `text`.
+    void Count(std::string_view text);
+  };
+
+  /// Sizes the per-row columns and the character and trigram pools for
+  /// `capacity`, so each is allocated once. The token pools still grow as
+  /// rows are added: their sizes are known only after tokenizing and
+  /// deduplicating, and reserving an upper bound raised peak RSS on
+  /// `serve_nytimes`.
+  void Reserve(const Capacity& capacity);
 
   /// Appends `v` and returns its row. Views from earlier calls (lower,
   /// trigrams, token) stay valid only until the next Add.

@@ -91,19 +91,17 @@ bool ParseIsoDate(std::string_view s, int32_t* days_out) {
   return true;
 }
 
+std::string_view ValueText(const rdf::Term& term) {
+  return term.is_iri() ? IriLocalName(term.value) : term.value;
+}
+
 TypedValue ParseValue(const rdf::Term& term) {
   TypedValue v;
-  if (term.is_iri()) {
+  v.text = std::string(ValueText(term));
+  if (term.is_iri() || term.is_blank()) {
     v.kind = ValueKind::kString;
-    v.text = std::string(IriLocalName(term.value));
     return v;
   }
-  if (term.is_blank()) {
-    v.kind = ValueKind::kString;
-    v.text = term.value;
-    return v;
-  }
-  v.text = term.value;
   const std::string& dt = term.datatype;
   if (dt == rdf::kXsdInteger || (dt.empty() && LooksLikeInteger(v.text))) {
     if (ParseInt(v.text, &v.integer)) {

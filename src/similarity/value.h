@@ -36,6 +36,10 @@ struct TypedValue {
 /// Parses an RDF term into a typed value (never fails; worst case kString).
 TypedValue ParseValue(const rdf::Term& term);
 
+/// The `text` ParseValue gives `term`: an IRI's local name, otherwise the
+/// term's lexical form.
+std::string_view ValueText(const rdf::Term& term);
+
 /// Returns the fragment / last path segment of an IRI
 /// ("http://x/Lebron_James" -> "Lebron_James").
 std::string_view IriLocalName(std::string_view iri);

@@ -65,11 +65,8 @@ WorkloadRunStats ExecuteFederatedWorkload(const fed::FederatedEngine& engine,
   stats.total = workload.queries.size();
 
   // Parallel path: fan queries across the pool, merge in workload order so
-  // the outcome is indistinguishable from a sequential run. Only taken
-  // without a clock — simulated time must advance deterministically, which
-  // per-query think time under concurrency cannot.
-  if (options.pool != nullptr && options.clock == nullptr &&
-      workload.queries.size() > 1) {
+  // the outcome is indistinguishable from a sequential run.
+  if (options.pool != nullptr && workload.queries.size() > 1) {
     static obs::Counter& parallel_queries =
         obs::MetricsRegistry::Global().counter("fed.parallel_queries");
     std::vector<std::optional<Result<fed::FederatedResult>>> results(
@@ -95,12 +92,6 @@ WorkloadRunStats ExecuteFederatedWorkload(const fed::FederatedEngine& engine,
   }
 
   for (const std::string& query : workload.queries) {
-    // Inter-query think time: without it, a burst of back-to-back queries
-    // holds virtual time still whenever every probe fast-fails, so breaker
-    // cooldowns can never elapse mid-workload.
-    if (options.clock != nullptr && options.think_seconds > 0.0) {
-      options.clock->SleepSeconds(options.think_seconds);
-    }
     AccumulateResult(engine.ExecuteText(query), &stats);
     if (options.hub != nullptr) options.hub->MaybeSample();
   }

@@ -4,7 +4,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.h"
 #include "common/thread_pool.h"
 #include "datagen/generator.h"
 #include "federation/federated_engine.h"
@@ -34,10 +33,10 @@ fed::LinkIndex LinksFromPairs(
     const datagen::GeneratedPair& pair,
     const std::vector<feedback::PairKey>& pair_keys);
 
-/// Fault-tolerant outcome of one workload execution. Degraded queries are
-/// first-class: their rows (and the links those rows crossed) still count,
-/// so the feedback loop keeps learning from partial answers instead of
-/// stalling whenever an endpoint misbehaves.
+/// Outcome of one workload execution. Degraded queries are first-class:
+/// their rows (and the links those rows crossed) still count, so the
+/// feedback loop keeps learning from partial answers instead of stalling
+/// whenever an endpoint fails a probe.
 struct WorkloadRunStats {
   size_t total = 0;
   size_t answered = 0;   // Queries that returned at least one row.
@@ -51,14 +50,9 @@ struct WorkloadRunStats {
 
 /// How to execute a workload.
 struct WorkloadExecOptions {
-  /// When set, `think_seconds` of client think time elapse before each
-  /// query — the inter-arrival gap that lets circuit-breaker cooldowns run
-  /// down between queries in simulated scenarios.
-  Clock* clock = nullptr;
-  double think_seconds = 0.0;
-  /// When set (and `clock` is null — SimClock is not thread-safe), queries
-  /// fan out across the pool and results merge back in workload order, so
-  /// stats and `links_observed` are byte-identical to a sequential run.
+  /// When set, queries fan out across the pool and results merge back in
+  /// workload order, so stats and `links_observed` are byte-identical to a
+  /// sequential run.
   /// The endpoint stack must be thread-safe (plain Endpoints over stores
   /// with pre-built indexes are; call TripleStore::EnsureIndexes first).
   ThreadPool* pool = nullptr;

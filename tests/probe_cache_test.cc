@@ -9,9 +9,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/clock.h"
 #include "federation/endpoint.h"
-#include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
 #include "federation/probe_cache.h"
 #include "obs/metrics.h"
@@ -32,10 +30,10 @@ class CountingEndpoint final : public QueryEndpoint {
   bool CanAnswer(const sparql::TriplePatternAst& p) const override {
     return inner_->CanAnswer(p);
   }
-  Status Probe(const PatternProbe& probe, const CallOptions& opts,
+  Status Probe(const PatternProbe& probe,
                const ProbeRowFn& fn) const override {
     ++probes_;
-    return inner_->Probe(probe, opts, fn);
+    return inner_->Probe(probe, fn);
   }
 
   size_t probes() const { return probes_; }
@@ -62,17 +60,16 @@ class ProbeCacheTest : public ::testing::Test {
   static std::vector<std::string> Collect(const QueryEndpoint& ep,
                                           const PatternProbe& probe) {
     std::vector<std::string> rows;
-    const Status st = ep.Probe(probe, CallOptions(),
-                               [&](const Term* s, const Term* p,
-                                   const Term* o) {
-                                 std::string row;
-                                 for (const Term* t : {s, p, o}) {
-                                   row += t ? t->ToNTriples() : "_";
-                                   row += " ";
-                                 }
-                                 rows.push_back(std::move(row));
-                                 return true;
-                               });
+    const Status st =
+        ep.Probe(probe, [&](const Term* s, const Term* p, const Term* o) {
+          std::string row;
+          for (const Term* t : {s, p, o}) {
+            row += t ? t->ToNTriples() : "_";
+            row += " ";
+          }
+          rows.push_back(std::move(row));
+          return true;
+        });
     EXPECT_TRUE(st.ok()) << st;
     return rows;
   }
@@ -108,8 +105,7 @@ TEST_F(ProbeCacheTest, BoundSlotsReplayAsNullLikeTheRealEndpoint) {
   for (int round = 0; round < 2; ++round) {
     size_t rows = 0;
     const Status st = cached.Probe(
-        probe, CallOptions(),
-        [&](const Term* s, const Term* p, const Term* o) -> bool {
+        probe, [&](const Term* s, const Term* p, const Term* o) -> bool {
           EXPECT_EQ(s, nullptr);  // Bound slots stream as null.
           EXPECT_EQ(p, nullptr);
           EXPECT_TRUE(o != nullptr && *o == Term::Literal("Belcaster"));
@@ -140,8 +136,7 @@ TEST_F(ProbeCacheTest, TruncatedStreamsAreNeverCached) {
   probe.subject = &subject;
   // Consumer stops after the first row: the entry would be incomplete.
   const Status st = cached.Probe(
-      probe, CallOptions(),
-      [](const Term*, const Term*, const Term*) { return false; });
+      probe, [](const Term*, const Term*, const Term*) { return false; });
   ASSERT_TRUE(st.ok()) << st;
   EXPECT_EQ(cached.size(), 0u);
   // The next full consumption must see every row, straight from the inner.
@@ -149,22 +144,42 @@ TEST_F(ProbeCacheTest, TruncatedStreamsAreNeverCached) {
   EXPECT_EQ(counting_->probes(), 2u);
 }
 
+/// Inner endpoint whose first probe fails and whose later probes succeed.
+class FailsOnceEndpoint final : public QueryEndpoint {
+ public:
+  explicit FailsOnceEndpoint(const QueryEndpoint* inner) : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  bool CanAnswer(const sparql::TriplePatternAst& p) const override {
+    return inner_->CanAnswer(p);
+  }
+  Status Probe(const PatternProbe& probe,
+               const ProbeRowFn& fn) const override {
+    if (!failed_) {
+      failed_ = true;
+      return Status::Unavailable(name() + " unavailable");
+    }
+    return inner_->Probe(probe, fn);
+  }
+
+ private:
+  const QueryEndpoint* inner_;
+  mutable bool failed_ = false;
+};
+
 TEST_F(ProbeCacheTest, FailedProbesAreNeverCached) {
-  SimClock clock;
-  FaultInjectedEndpoint faulty(ep_.get(), FaultProfile::DownFor(1),
-                               /*seed=*/7, &clock);
-  CachingEndpoint cached(&faulty);
+  FailsOnceEndpoint failing(ep_.get());
+  CachingEndpoint cached(&failing);
   const Term subject = Term::Iri("http://r/acme");
   PatternProbe probe;
   probe.subject = &subject;
 
   const Status failed = cached.Probe(
-      probe, CallOptions(),
-      [](const Term*, const Term*, const Term*) { return true; });
+      probe, [](const Term*, const Term*, const Term*) { return true; });
   EXPECT_FALSE(failed.ok());
   EXPECT_EQ(cached.size(), 0u);  // The failure was not memoized.
 
-  // The endpoint has recovered; the retry reaches it and is cached.
+  // The endpoint has recovered; the next probe reaches it and is cached.
   EXPECT_EQ(Collect(cached, probe).size(), 2u);
   EXPECT_EQ(cached.size(), 1u);
   EXPECT_EQ(Collect(cached, probe).size(), 2u);

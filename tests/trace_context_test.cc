@@ -1,9 +1,8 @@
 // Causal-tracing integration tests: one federated query — plan execution,
-// probe-cache lookups, retry attempts, breaker decisions — exports as one
-// connected span tree under the query root's trace id. These tests drive
-// the real decorated endpoint stack (fault injection + retry/breaker +
-// probe cache) with the global recorder enabled and reconstruct the tree
-// from the exported events.
+// pattern probes, probe-cache lookups — exports as one connected span tree
+// under the query root's trace id. These tests drive the real endpoint
+// stack (probe cache over in-process endpoints) with the global recorder
+// enabled and reconstruct the tree from the exported events.
 
 #include <algorithm>
 #include <atomic>
@@ -15,14 +14,10 @@
 
 #include <gtest/gtest.h>
 
-#include "common/clock.h"
 #include "common/thread_pool.h"
-#include "common/retry.h"
 #include "federation/endpoint.h"
-#include "federation/fault_injection.h"
 #include "federation/federated_engine.h"
 #include "federation/probe_cache.h"
-#include "federation/resilient_endpoint.h"
 #include "obs/query_stats.h"
 #include "obs/trace.h"
 
@@ -30,12 +25,8 @@ namespace alex::obs {
 namespace {
 
 using fed::CachingEndpoint;
-using fed::CircuitBreakerConfig;
 using fed::Endpoint;
-using fed::FaultInjectedEndpoint;
-using fed::FaultProfile;
 using fed::FederatedEngine;
-using fed::ResilientEndpoint;
 using rdf::Term;
 
 constexpr char kSpanningQuery[] =
@@ -65,22 +56,10 @@ class TraceContextTest : public ::testing::Test {
     QueryLog::Global().Clear();
   }
 
-  /// Builds the fully decorated stack (faults -> retry/breaker -> probe
-  /// cache) over the shared SimClock and returns an engine on top of it.
-  void BuildStack(const FaultProfile& right_profile,
-                  RetryPolicy retry = RetryPolicy()) {
-    faulty_left_ = std::make_unique<FaultInjectedEndpoint>(
-        left_ep_.get(), FaultProfile::Healthy(), /*seed=*/21, &clock_);
-    faulty_right_ = std::make_unique<FaultInjectedEndpoint>(
-        right_ep_.get(), right_profile, /*seed=*/22, &clock_);
-    resilient_left_ = std::make_unique<ResilientEndpoint>(
-        faulty_left_.get(), retry, CircuitBreakerConfig(), /*seed=*/23,
-        &clock_);
-    resilient_right_ = std::make_unique<ResilientEndpoint>(
-        faulty_right_.get(), retry, CircuitBreakerConfig(), /*seed=*/24,
-        &clock_);
-    cached_left_ = std::make_unique<CachingEndpoint>(resilient_left_.get());
-    cached_right_ = std::make_unique<CachingEndpoint>(resilient_right_.get());
+  /// Builds the stack (probe cache -> endpoint) and an engine on top of it.
+  void BuildStack() {
+    cached_left_ = std::make_unique<CachingEndpoint>(left_ep_.get());
+    cached_right_ = std::make_unique<CachingEndpoint>(right_ep_.get());
     engine_ = std::make_unique<FederatedEngine>(
         cached_left_.get(), cached_right_.get(), &links_);
   }
@@ -88,13 +67,8 @@ class TraceContextTest : public ::testing::Test {
   rdf::Dataset left_{"hr"};
   rdf::Dataset right_{"companies"};
   fed::LinkIndex links_;
-  SimClock clock_;
   std::unique_ptr<Endpoint> left_ep_;
   std::unique_ptr<Endpoint> right_ep_;
-  std::unique_ptr<FaultInjectedEndpoint> faulty_left_;
-  std::unique_ptr<FaultInjectedEndpoint> faulty_right_;
-  std::unique_ptr<ResilientEndpoint> resilient_left_;
-  std::unique_ptr<ResilientEndpoint> resilient_right_;
   std::unique_ptr<CachingEndpoint> cached_left_;
   std::unique_ptr<CachingEndpoint> cached_right_;
   std::unique_ptr<FederatedEngine> engine_;
@@ -162,7 +136,7 @@ TEST_F(TraceContextTest, RootSpanMintsFreshTraceEvenInsideOpenSpan) {
 }
 
 TEST_F(TraceContextTest, EachFederatedQueryMintsItsOwnTrace) {
-  BuildStack(FaultProfile::Healthy());
+  BuildStack();
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetEnabled(true);
   for (int i = 0; i < 3; ++i) {
@@ -183,15 +157,11 @@ TEST_F(TraceContextTest, EachFederatedQueryMintsItsOwnTrace) {
 }
 
 TEST_F(TraceContextTest, QueryTreeIsConnectedAcrossTheWholeStack) {
-  // Acceptance criterion: run traced queries against the full decorated
-  // stack under fault injection (so retries and breaker decisions fire) and
-  // reconstruct the tree. At least 95% of probe/retry/cache spans must
-  // carry the trace id of a query root and resolve a parent chain that
-  // terminates at that root. In-process this should in fact be 100%.
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.jitter_fraction = 0.0;
-  BuildStack(FaultProfile::Flaky(), retry);
+  // Run traced queries against the stack and reconstruct the tree. At
+  // least 95% of probe and cache spans must carry the trace id of a query
+  // root and resolve a parent chain that terminates at that root.
+  // In-process this should in fact be 100%.
+  BuildStack();
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetEnabled(true);
   for (int i = 0; i < 8; ++i) {
@@ -227,44 +197,26 @@ TEST_F(TraceContextTest, QueryTreeIsConnectedAcrossTheWholeStack) {
     return false;
   };
 
-  const std::set<std::string> kStackSpans = {
-      "pattern_probe", "probe_attempt", "breaker_reject",
-      "CachingEndpoint::Probe"};
-  size_t stack_spans = 0, linked = 0, attempts = 0, probes = 0,
-         cache_spans = 0;
+  const std::set<std::string> kStackSpans = {"pattern_probe",
+                                             "CachingEndpoint::Probe"};
+  size_t stack_spans = 0, linked = 0, probes = 0, cache_spans = 0;
   for (const TraceEvent& e : events) {
     const std::string name = e.name;
     if (kStackSpans.count(name) == 0) continue;
     ++stack_spans;
-    if (name == "probe_attempt") ++attempts;
     if (name == "pattern_probe") ++probes;
     if (name == "CachingEndpoint::Probe") ++cache_spans;
     if (linked_to_root(e)) ++linked;
   }
   ASSERT_GT(probes, 0u) << "no pattern_probe spans recorded";
-  ASSERT_GT(attempts, 0u) << "no retry-layer attempt spans recorded";
   ASSERT_GT(cache_spans, 0u) << "no probe-cache spans recorded";
   EXPECT_GE(static_cast<double>(linked),
             0.95 * static_cast<double>(stack_spans))
       << linked << "/" << stack_spans << " spans linked to a query root";
-  // Retry attempts sit strictly below the probe path in the tree: their
-  // parent is the cache span (cacheable probes) or the pattern probe.
-  for (const TraceEvent& e : events) {
-    if (std::string(e.name) != "probe_attempt") continue;
-    auto it = by_span.find(e.parent_span_id);
-    ASSERT_NE(it, by_span.end());
-    const std::string parent = it->second->name;
-    EXPECT_TRUE(parent == "pattern_probe" ||
-                parent == "CachingEndpoint::Probe")
-        << parent;
-  }
 }
 
 TEST_F(TraceContextTest, QueryLogCarriesTraceIdExemplarsAndTallies) {
-  RetryPolicy retry;
-  retry.max_attempts = 3;
-  retry.jitter_fraction = 0.0;
-  BuildStack(FaultProfile::DownFor(1), retry);  // Exactly one retry fires.
+  BuildStack();
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetEnabled(true);
   auto r = engine_->ExecuteText(kSpanningQuery);
@@ -274,7 +226,6 @@ TEST_F(TraceContextTest, QueryLogCarriesTraceIdExemplarsAndTallies) {
   const QueryLog::Aggregate totals = QueryLog::Global().Totals();
   EXPECT_EQ(totals.queries, 1u);
   EXPECT_GT(totals.probes, 0u);
-  EXPECT_GE(totals.retries, 1u);
   EXPECT_EQ(totals.rows, r->rows.size());
 
   const std::vector<QueryStats> slowest = QueryLog::Global().Slowest();
@@ -282,7 +233,6 @@ TEST_F(TraceContextTest, QueryLogCarriesTraceIdExemplarsAndTallies) {
   const QueryStats& q = slowest.front();
   EXPECT_NE(q.trace_id, 0u);
   EXPECT_GT(q.probes, 0u);
-  EXPECT_GE(q.retries, 1u);
   EXPECT_FALSE(q.failed);
   // The exemplar matches the root span the recorder retained.
   bool found_root = false;
@@ -296,7 +246,7 @@ TEST_F(TraceContextTest, QueryLogCarriesTraceIdExemplarsAndTallies) {
 }
 
 TEST_F(TraceContextTest, UntracedQueriesRecordZeroTraceIdExemplar) {
-  BuildStack(FaultProfile::Healthy());
+  BuildStack();
   // Recorder stays disabled: stats still flow, exemplar is 0.
   auto r = engine_->ExecuteText(kSpanningQuery);
   ASSERT_TRUE(r.ok()) << r.status();
@@ -316,7 +266,7 @@ TEST_F(TraceContextTest, UntracedQueriesRecordZeroTraceIdExemplar) {
 // thread-locals dirty and the NEXT query on that worker parented its spans
 // into the previous query's trace.
 TEST_F(TraceContextTest, PooledWorkerStartsEachQueryWithCleanThreadState) {
-  BuildStack(FaultProfile::Healthy());
+  BuildStack();
   TraceRecorder& recorder = TraceRecorder::Global();
   recorder.SetEnabled(true);
 
@@ -351,7 +301,7 @@ TEST_F(TraceContextTest, PooledWorkerStartsEachQueryWithCleanThreadState) {
 #else  // !ALEX_TRACING_ENABLED
 
 TEST_F(TraceContextTest, TracingCompiledOutLeavesStatsWorking) {
-  BuildStack(FaultProfile::Healthy());
+  BuildStack();
   auto r = engine_->ExecuteText(kSpanningQuery);
   ASSERT_TRUE(r.ok()) << r.status();
   EXPECT_EQ(QueryLog::Global().Totals().queries, 1u);

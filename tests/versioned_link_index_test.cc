@@ -152,8 +152,7 @@ TEST(VersionedLinkIndexTest, ProbeCacheFlushesOncePerEffectiveCommit) {
   probe.subject = &subject;
   auto run_probe = [&] {
     const Status st = cached.Probe(
-        probe, CallOptions(),
-        [](const rdf::Term*, const rdf::Term*, const rdf::Term*) {
+        probe, [](const rdf::Term*, const rdf::Term*, const rdf::Term*) {
           return true;
         });
     ASSERT_TRUE(st.ok()) << st;
